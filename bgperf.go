@@ -171,12 +171,12 @@ func NewModel(cfg Config, opts ...Option) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Tune(o.tuning())
+	m.SetWorkers(o.workers)
 	return m, nil
 }
 
 // Solve builds and solves the model in one call. With WithObserver it
-// reports stage timings, the logarithmic-reduction convergence trace, sp(R),
+// reports stage timings, the cyclic-reduction convergence trace, sp(R),
 // and workspace pool statistics; without, it runs the zero-overhead fast
 // path.
 func Solve(cfg Config, opts ...Option) (*Solution, error) {
@@ -191,7 +191,7 @@ func Solve(cfg Config, opts ...Option) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Tune(o.tuning())
+	m.SetWorkers(o.workers)
 	return m.SolveObserved(o.observer)
 }
 
@@ -241,7 +241,7 @@ func SolveMulti(cfg MultiConfig, opts ...Option) (*MultiSolution, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Tune(o.tuning())
+	m.SetWorkers(o.workers)
 	return m.SolveObserved(o.observer)
 }
 

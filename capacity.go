@@ -54,8 +54,8 @@ func ParsePlanVar(s string) (PlanVar, error) { return plan.ParseVar(s) }
 // most conservative setting of the variable violates slo — or the
 // foreground load alone saturates the server — Plan returns ErrInfeasible
 // rather than clamping. WithTolerance and WithMaxIter control convergence;
-// WithWorkers, WithRScheme, WithObserver, and WithContext apply to the
-// underlying solves.
+// WithWorkers, WithObserver, and WithContext apply to the underlying
+// solves.
 func Plan(cfg Config, slo SLO, opts ...Option) (*PlanResult, error) {
 	o := apply(opts)
 	if o.err != nil {

@@ -218,19 +218,14 @@ func cmdSolve(args []string, out io.Writer) error {
 	mf := addModelFlags(fs)
 	asJSON := fs.Bool("json", false, "emit the metrics as JSON")
 	diagPath := fs.String("diag", "", "write a JSON diagnostics report (stage timings, convergence trace, workspace stats) to this file")
-	schemeName := fs.String("scheme", "cyclic", "R iteration scheme: cyclic (default) or logarithmic (cross-check); metrics agree to 1e-12")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	scheme, err := bgperf.ParseRScheme(*schemeName)
-	if err != nil {
 		return err
 	}
 	cfg, err := mf.build()
 	if err != nil {
 		return err
 	}
-	model, err := bgperf.NewModel(cfg, bgperf.WithRScheme(scheme))
+	model, err := bgperf.NewModel(cfg)
 	if err != nil {
 		return err
 	}
@@ -278,23 +273,18 @@ func cmdPlan(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("plan", flag.ContinueOnError)
 	mf := addModelFlags(fs)
 	var (
-		sloQLen    = fs.Float64("slo-qlen", 0, "SLO: mean foreground queue length bound (0 = unset)")
-		sloWaitP   = fs.Float64("slo-waitp", 0, "SLO: bound on the fraction of foreground arrivals delayed by background work (0 = unset)")
-		sloResp    = fs.Float64("slo-resp", 0, "SLO: mean foreground response time bound in ms (0 = unset)")
-		varName    = fs.String("var", "p", "decision variable: p (BG spawn probability), x (BG buffer), alpha (idle rate), or mod (minimum feasible modulation factor φ)")
-		tol        = fs.Float64("tol", 0, "convergence tolerance of the continuous searches (0 = planner default)")
-		maxIter    = fs.Int("maxiter", 0, "bisection iteration bound (0 = planner default)")
-		tracePath  = fs.String("trace", "", "fit the arrival process from this NDJSON trace instead of -workload")
-		workers    = fs.Int("workers", 0, "max goroutines for the sensitivity neighborhood (0 = all cores)")
-		asJSON     = fs.Bool("json", false, "emit the plan report as JSON (byte-identical to the daemon's /v1/optimize plan object)")
-		diagPath   = fs.String("diag", "", "write a JSON diagnostics report (stage timings across every search solve) to this file")
-		schemeName = fs.String("scheme", "cyclic", "R iteration scheme: cyclic (default) or logarithmic")
+		sloQLen   = fs.Float64("slo-qlen", 0, "SLO: mean foreground queue length bound (0 = unset)")
+		sloWaitP  = fs.Float64("slo-waitp", 0, "SLO: bound on the fraction of foreground arrivals delayed by background work (0 = unset)")
+		sloResp   = fs.Float64("slo-resp", 0, "SLO: mean foreground response time bound in ms (0 = unset)")
+		varName   = fs.String("var", "p", "decision variable: p (BG spawn probability), x (BG buffer), alpha (idle rate), or mod (minimum feasible modulation factor φ)")
+		tol       = fs.Float64("tol", 0, "convergence tolerance of the continuous searches (0 = planner default)")
+		maxIter   = fs.Int("maxiter", 0, "bisection iteration bound (0 = planner default)")
+		tracePath = fs.String("trace", "", "fit the arrival process from this NDJSON trace instead of -workload")
+		workers   = fs.Int("workers", 0, "max goroutines for the sensitivity neighborhood and for the block-row multiplies inside every solve (0 = all cores for the neighborhood, serial multiplies)")
+		asJSON    = fs.Bool("json", false, "emit the plan report as JSON (byte-identical to the daemon's /v1/optimize plan object)")
+		diagPath  = fs.String("diag", "", "write a JSON diagnostics report (stage timings across every search solve) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	scheme, err := bgperf.ParseRScheme(*schemeName)
-	if err != nil {
 		return err
 	}
 	pv, err := bgperf.ParsePlanVar(*varName)
@@ -311,7 +301,6 @@ func cmdPlan(args []string, out io.Writer) error {
 	var diag *obs.Diagnostics
 	opts := []bgperf.Option{
 		bgperf.WithPlanVar(pv),
-		bgperf.WithRScheme(scheme),
 		bgperf.WithWorkers(*workers),
 	}
 	if *tol != 0 {
@@ -593,21 +582,16 @@ func cmdACF(args []string, out io.Writer) error {
 func cmdMulti(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("multi", flag.ContinueOnError)
 	var (
-		name       = fs.String("workload", "softdev", "arrival workload")
-		util       = fs.Float64("util", 0, "foreground utilization to scale to (0 keeps the native trace load)")
-		p1         = fs.Float64("p1", 0.25, "spawn probability of class-1 (priority) background jobs")
-		p2         = fs.Float64("p2", 0.5, "spawn probability of class-2 background jobs")
-		buf1       = fs.Int("buffer1", 5, "class-1 buffer capacity")
-		buf2       = fs.Int("buffer2", 5, "class-2 buffer capacity")
-		idleMult   = fs.Float64("idlemult", 1, "mean idle wait in multiples of the 6 ms service time")
-		diagPath   = fs.String("diag", "", "write a JSON diagnostics report (stage timings, convergence trace) to this file")
-		schemeName = fs.String("scheme", "cyclic", "R iteration scheme: cyclic (default) or logarithmic")
+		name     = fs.String("workload", "softdev", "arrival workload")
+		util     = fs.Float64("util", 0, "foreground utilization to scale to (0 keeps the native trace load)")
+		p1       = fs.Float64("p1", 0.25, "spawn probability of class-1 (priority) background jobs")
+		p2       = fs.Float64("p2", 0.5, "spawn probability of class-2 background jobs")
+		buf1     = fs.Int("buffer1", 5, "class-1 buffer capacity")
+		buf2     = fs.Int("buffer2", 5, "class-2 buffer capacity")
+		idleMult = fs.Float64("idlemult", 1, "mean idle wait in multiples of the 6 ms service time")
+		diagPath = fs.String("diag", "", "write a JSON diagnostics report (stage timings, convergence trace) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	scheme, err := bgperf.ParseRScheme(*schemeName)
-	if err != nil {
 		return err
 	}
 	m, err := workloadByName(*name)
@@ -623,7 +607,7 @@ func cmdMulti(args []string, out io.Writer) error {
 		return fmt.Errorf("idlemult must be positive")
 	}
 	var diag *obs.Diagnostics
-	opts := []bgperf.Option{bgperf.WithRScheme(scheme)}
+	var opts []bgperf.Option
 	if *diagPath != "" {
 		diag = obs.NewDiagnostics()
 		opts = append(opts, bgperf.WithObserver(diag))

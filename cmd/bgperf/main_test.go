@@ -162,9 +162,9 @@ func TestPlanErrors(t *testing.T) {
 	}
 }
 
-func TestMultiDiagAndScheme(t *testing.T) {
+func TestMultiDiag(t *testing.T) {
 	diagPath := filepath.Join(t.TempDir(), "multi-diag.json")
-	out, err := runCmd(t, "multi", "-workload", "softdev", "-util", "0.2", "-scheme", "logarithmic", "-diag", diagPath)
+	out, err := runCmd(t, "multi", "-workload", "softdev", "-util", "0.2", "-diag", diagPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +174,8 @@ func TestMultiDiagAndScheme(t *testing.T) {
 	if _, err := os.Stat(diagPath); err != nil {
 		t.Errorf("diagnostics file not written: %v", err)
 	}
-	if _, err := runCmd(t, "multi", "-scheme", "bogus"); err == nil {
-		t.Error("unknown scheme accepted")
+	if _, err := runCmd(t, "multi", "-scheme", "cyclic"); err == nil {
+		t.Error("removed -scheme flag accepted")
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 
 // ValidationError is the typed configuration error returned by every entry
 // point that validates a Config (NewModel, Solve, Simulate,
-// SimulateReplications, SolveMulti): Field names the offending field and
-// Reason explains the failure. Retrieve it with errors.As:
+// SimulateReplications, SolveMulti, SimulateMulti): Field names the
+// offending field and Reason explains the failure. Retrieve it with
+// errors.As:
 //
 //	var verr *bgperf.ValidationError
 //	if errors.As(err, &verr) {
@@ -23,7 +24,7 @@ var (
 	// ErrUnstable reports a model whose offered load saturates the server:
 	// the chain has no stationary distribution and no metrics exist.
 	ErrUnstable = qbd.ErrUnstable
-	// ErrNoConvergence reports an iterative solver (logarithmic reduction,
+	// ErrNoConvergence reports an iterative solver (cyclic reduction,
 	// spectral iteration) that exhausted its iteration budget.
 	ErrNoConvergence = qbd.ErrNoConvergence
 	// ErrInfeasible reports a capacity-planning SLO (Plan, PlanFromTrace)

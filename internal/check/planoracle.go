@@ -240,8 +240,8 @@ func feasibleFloor(v plan.Var, genVal float64) float64 {
 	}
 }
 
-// solveConfig forward-solves one configuration with the default tuning (the
-// same path the planner's evaluations take).
+// solveConfig forward-solves one configuration serially (the same path the
+// planner's evaluations take).
 func solveConfig(cfg core.Config) (core.Metrics, error) {
 	model, err := core.NewModel(cfg)
 	if err != nil {

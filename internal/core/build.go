@@ -322,7 +322,7 @@ func (m *Model) qbdBlocks() (qbd.Boundary, *qbd.Process, error) {
 	if err != nil {
 		return qbd.Boundary{}, nil, fmt.Errorf("core: assembling QBD: %w", err)
 	}
-	proc.Tune(m.tuning)
+	proc.SetWorkers(m.workers)
 	return boundary, proc, nil
 }
 

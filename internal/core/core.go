@@ -24,7 +24,6 @@ import (
 	"bgperf/internal/arrival"
 	"bgperf/internal/mat"
 	"bgperf/internal/phtype"
-	"bgperf/internal/qbd"
 )
 
 // ErrConfig reports an invalid model configuration.
@@ -359,14 +358,15 @@ type Model struct {
 	// admission uniformly denied, making the chain level-homogeneous.
 	boundaryTop int
 
-	// tuning is forwarded to the qbd.Process built by each solve.
-	tuning qbd.Tuning
+	// workers is forwarded to the qbd.Process built by each solve.
+	workers int
 }
 
-// Tune installs numerical strategy knobs (R iteration scheme, intra-solve
-// worker fan-out) for all subsequent solves on m. The zero Tuning is the
-// default configuration. It must not be called concurrently with a solve.
-func (m *Model) Tune(t qbd.Tuning) { m.tuning = t }
+// SetWorkers bounds the block-row fan-out of the multiplies inside the R
+// iteration for all subsequent solves on m; n <= 1 runs serially. Results
+// are bit-identical for every worker count. It must not be called
+// concurrently with a solve.
+func (m *Model) SetWorkers(n int) { m.workers = n }
 
 // NewModel validates cfg and prepares the chain builder.
 func NewModel(cfg Config) (*Model, error) {

@@ -12,7 +12,7 @@ import (
 // Scalability generates table S-1: wall-clock solve time as the state space
 // grows with the background buffer size and the arrival-process order. The
 // repeating blocks have (2X+1)·A·S states; the dominant costs are the
-// logarithmic reduction for G/R (cubic in the block size) and the block-LU
+// cyclic reduction for G/R (cubic in the block size) and the block-LU
 // boundary sweep. Timings are machine-dependent — the table documents
 // scaling shape, not absolute speed.
 func Scalability() (Result, error) {

@@ -3,7 +3,7 @@
 // distributions of finite irreducible chains, and uniformization.
 //
 // These primitives underpin both the arrival-process library (stationary
-// phase vectors of MMPPs) and the QBD solver (drift conditions, logarithmic
+// phase vectors of MMPPs) and the QBD solver (drift conditions, cyclic
 // reduction on the uniformized chain).
 package markov
 
@@ -165,9 +165,9 @@ func stationaryFromSingular(m *mat.Matrix) ([]float64, error) {
 // Uniformize converts the generator q into the transition matrix of its
 // uniformized DTMC, P = I + Q/θ, and returns (P, θ). The uniformization rate
 // θ is max_i |q_ii| inflated slightly so P stays strictly substochastic in
-// each transient row, which improves the numerical behaviour of logarithmic
-// reduction. Uniformize panics if q has a zero diagonal everywhere (no
-// transitions at all).
+// each transient row, which improves the numerical behaviour of the
+// reduction algorithms run on P. Uniformize panics if q has a zero diagonal
+// everywhere (no transitions at all).
 func Uniformize(q *mat.Matrix) (*mat.Matrix, float64) {
 	n := q.Rows()
 	theta := 0.0

@@ -24,7 +24,6 @@ import (
 	"bgperf/internal/arrival"
 	"bgperf/internal/core"
 	"bgperf/internal/mat"
-	"bgperf/internal/qbd"
 )
 
 // ErrConfig reports an invalid configuration.
@@ -118,14 +117,14 @@ type Model struct {
 	// level instead of allocating one per emitted transition.
 	scaled map[float64]*mat.Matrix
 
-	// tuning is forwarded to the qbd.Process built by each solve.
-	tuning qbd.Tuning
+	// workers is forwarded to the qbd.Process built by each solve.
+	workers int
 }
 
-// Tune installs numerical strategy knobs (R iteration scheme, intra-solve
-// worker fan-out) for all subsequent solves. It must not be called
-// concurrently with a solve.
-func (m *Model) Tune(t qbd.Tuning) { m.tuning = t }
+// SetWorkers bounds the block-row fan-out of the multiplies inside the R
+// iteration for all subsequent solves; n <= 1 runs serially. It must not be
+// called concurrently with a solve.
+func (m *Model) SetWorkers(n int) { m.workers = n }
 
 // NewModel validates cfg and prepares the chain builder.
 func NewModel(cfg Config) (*Model, error) {

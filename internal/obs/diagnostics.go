@@ -174,7 +174,7 @@ type Report struct {
 	Stages map[string]StageReport `json:"stages"`
 
 	// RSolves and RIterations count R computations and their summed
-	// logarithmic-reduction iterations.
+	// cyclic-reduction iterations.
 	RSolves     int64 `json:"rSolves"`
 	RIterations int64 `json:"rIterations"`
 	// LastRIterations, LastResidual, and LastSpectralRadius describe the

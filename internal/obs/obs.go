@@ -27,8 +27,8 @@ const (
 	// StageBuild is chain assembly: Kronecker blocks and QBD boundary/
 	// repeating block construction.
 	StageBuild Stage = iota
-	// StageRSolve is the logarithmic-reduction computation of G and the
-	// rate matrix R — the innermost iterative solver.
+	// StageRSolve is the cyclic-reduction computation of G and the rate
+	// matrix R — the innermost iterative solver.
 	StageRSolve
 	// StageBoundary is the boundary linear system: the backward/forward
 	// level-reduction sweeps and the geometric tail moments.
@@ -150,7 +150,7 @@ type FitDiag struct {
 type Observer interface {
 	// StageDone reports the wall-clock duration of one solver stage.
 	StageDone(s Stage, d time.Duration)
-	// RIteration reports the convergence residual after one logarithmic-
+	// RIteration reports the convergence residual after one cyclic-
 	// reduction iteration (1-based).
 	RIteration(iter int, residual float64)
 	// RSolved reports a completed R computation: the iteration count, the

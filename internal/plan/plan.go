@@ -213,12 +213,11 @@ type Options struct {
 	Tol float64
 	// MaxIter bounds the bisection iterations; 0 means DefaultMaxIter.
 	MaxIter int
-	// Workers bounds the intra-solve parallelism and the sensitivity-
-	// neighborhood fan-out; <= 0 means serial solves and one worker per
-	// neighbor.
+	// Workers bounds both the block-row fan-out of the multiplies inside
+	// every solve and the goroutines of the sensitivity-neighborhood
+	// fan-out; <= 0 means serial multiplies and all cores for the
+	// neighborhood.
 	Workers int
-	// Scheme selects the R iteration of the underlying solves.
-	Scheme qbd.RScheme
 	// Observer optionally receives the diagnostics of every forward solve
 	// the search performs.
 	Observer obs.Observer
@@ -455,7 +454,7 @@ func evalAt(cfg core.Config, slo SLO, opts Options, val float64) (core.Metrics, 
 	if err != nil {
 		return core.Metrics{}, false, err
 	}
-	model.Tune(qbd.Tuning{Scheme: opts.Scheme, Workers: opts.Workers})
+	model.SetWorkers(opts.Workers)
 	sol, err := model.SolveObserved(opts.Observer)
 	if err != nil {
 		if errors.Is(err, qbd.ErrUnstable) {

@@ -102,7 +102,7 @@ type Solution struct {
 // tridiagonal balance equations, O(Σ n_j³) instead of a dense O((Σ n_j)³)
 // global solve. It returns ErrUnstable for non-positive-recurrent processes.
 //
-// All scratch matrices — the logarithmic-reduction working set, the per-level
+// All scratch matrices — the cyclic-reduction working set, the per-level
 // fold of the backward sweep, and the tail-moment algebra — come from one
 // mat.Workspace owned by the call, so buffers freed by one stage are reused
 // by the next instead of allocated fresh.
@@ -113,7 +113,7 @@ func Solve(b Boundary, p *Process) (*Solution, error) {
 // SolveObserved is Solve with an optional obs.Observer (nil is valid and
 // reverts to the uninstrumented fast path — no clocks are read and no
 // reports are made). With an observer attached it reports the R-solve and
-// boundary-solve stage durations, the logarithmic-reduction convergence
+// boundary-solve stage durations, the cyclic-reduction convergence
 // trace, sp(R), and the workspace pool statistics of the whole solve.
 func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 	if err := b.validate(p); err != nil {

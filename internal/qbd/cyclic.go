@@ -8,91 +8,20 @@ import (
 	"bgperf/internal/obs"
 )
 
-// RScheme selects the matrix iteration used to compute the first-passage
-// matrix G (and from it R). Both schemes converge quadratically to the same
-// minimal solution; they differ in per-iteration cost and in the residual
-// they expose to the convergence trace.
-type RScheme int
-
-const (
-	// RSchemeCyclic is the cyclic-reduction algorithm of Bini and Meini —
-	// the default. Each iteration performs four matrix products plus one
-	// factorization with two multi-RHS solves, against logarithmic
-	// reduction's eight products plus a factorization and inverse, so it is
-	// the faster scheme on every block size.
-	RSchemeCyclic RScheme = iota
-	// RSchemeLogarithmic is the logarithmic-reduction algorithm of Latouche
-	// and Ramaswami, the scheme the paper cites ([10]). Kept both as an
-	// independent cross-check of the default (the two agree to 1e-12 on
-	// every generator configuration, pinned by tests) and for convergence
-	// traces in G-defect form.
-	RSchemeLogarithmic
-)
-
-// String returns the scheme name used in diagnostics and CLI flags.
-func (s RScheme) String() string {
-	switch s {
-	case RSchemeCyclic:
-		return "cyclic"
-	case RSchemeLogarithmic:
-		return "logarithmic"
-	default:
-		return fmt.Sprintf("RScheme(%d)", int(s))
-	}
-}
-
-// ParseRScheme converts a CLI/string form back into an RScheme.
-func ParseRScheme(s string) (RScheme, error) {
-	switch s {
-	case "cyclic":
-		return RSchemeCyclic, nil
-	case "logarithmic":
-		return RSchemeLogarithmic, nil
-	}
-	return 0, fmt.Errorf("%w: unknown R scheme %q (want cyclic or logarithmic)", ErrInvalid, s)
-}
-
-// Tuning selects numerical strategy knobs for a Process's solves. The zero
-// value is the default configuration: cyclic reduction, serial multiplies.
-// Every tuning produces bit-identical metrics for a given Scheme — Workers
-// only changes wall-clock (pinned by tests).
-type Tuning struct {
-	// Scheme is the G/R iteration to run.
-	Scheme RScheme
-	// Workers bounds the goroutine fan-out of the block-row-banded matrix
-	// multiplies inside the iteration; values <= 1 run serially. Results are
-	// bit-identical for every worker count.
-	Workers int
-}
-
-// Tune installs t for all subsequent solves on p. It must not be called
-// concurrently with a solve.
-func (p *Process) Tune(t Tuning) { p.tuning = t }
-
-// Tuning returns the currently installed tuning.
-func (p *Process) Tuning() Tuning { return p.tuning }
+// SetWorkers bounds the goroutine fan-out of the block-row-banded matrix
+// multiplies inside the R iteration for all subsequent solves on p; n <= 1
+// runs serially. Results are bit-identical for every worker count (pinned by
+// tests). It must not be called concurrently with a solve.
+func (p *Process) SetWorkers(n int) { p.workers = n }
 
 // MulBudget returns the exact number of MulCount-visible matrix products a
-// convergent run of the scheme performs over iters iterations — the op
+// convergent cyclic-reduction run performs over iters iterations — the op
 // budget the regression tests pin so accidental extra products in the
-// innermost solver loops fail fast. LU factorizations and triangular solves
-// are not matrix products and are not counted.
-//
-// Logarithmic reduction: eight products per iteration (two for u, h², l²,
-// the two inverse applications, the shared t·l, and the t·h advance —
-// skipped on the final iteration) plus the two pre-loop kernel products:
-// 8·iters + 1. Cyclic reduction: four products per iteration (the shared
-// up·S·down, down·S·up, and the two block squarings) and none outside the
-// loop — the final G assembly is a triangular solve: 4·iters.
-func MulBudget(scheme RScheme, iters int) int64 {
-	switch scheme {
-	case RSchemeCyclic:
-		return int64(4 * iters)
-	case RSchemeLogarithmic:
-		return int64(8*iters + 1)
-	}
-	panic(fmt.Sprintf("qbd: MulBudget of unknown scheme %d", int(scheme)))
-}
+// innermost solver loop fail fast. Each iteration performs four products (the
+// shared up·S·down, down·S·up, and the two block squarings) and none run
+// outside the loop: the final G assembly is a triangular solve, and LU
+// factorizations and triangular solves are not counted.
+func MulBudget(iters int) int64 { return int64(4 * iters) }
 
 // crTol is the stopping threshold on min(‖up‖∞, ‖down‖∞). The vanishing
 // iterate decays multiplicatively (quadratically in exact arithmetic, and
@@ -210,7 +139,7 @@ func (s *crState) infNorm(m *mat.Matrix) float64 {
 
 // cyclicReduction runs the Bini–Meini cyclic-reduction algorithm on the DTMC
 // blocks (b0 up, b1 local, b2 down), returning G and the iteration count the
-// op-budget regression tests pin (MulBudget(RSchemeCyclic, iters) products).
+// op-budget regression tests pin (MulBudget(iters) products).
 func cyclicReduction(b0, b1, b2 *mat.Matrix) (*mat.Matrix, int, error) {
 	g, iters, _, err := cyclicReductionObs(b0, b1, b2, nil, nil, 1)
 	return g, iters, err
@@ -221,8 +150,7 @@ func cyclicReduction(b0, b1, b2 *mat.Matrix) (*mat.Matrix, int, error) {
 // to o (nil o skips all reporting), and fanning its block-row multiplies
 // over workers goroutines (<= 1 serial; results are bit-identical for every
 // worker count). The returned G is not handed back to ws. residual is G's
-// defect (max |1 − rowsum|), the same quantity the logarithmic-reduction
-// path reports, so RSolved reports are comparable across schemes.
+// defect (max |1 − rowsum|).
 func cyclicReductionObs(b0, b1, b2 *mat.Matrix, ws *mat.Workspace, o obs.Observer, workers int) (g *mat.Matrix, iters int, residual float64, err error) {
 	s := newCRState(b0.Rows(), ws, workers)
 	defer s.release()

@@ -6,32 +6,7 @@ import (
 
 	"bgperf/internal/markov"
 	"bgperf/internal/mat"
-	"bgperf/internal/raceflag"
 )
-
-// TestLogReductionStepZeroAlloc pins the zero-allocation contract of the
-// logarithmic-reduction inner loop: once the working set is built, each
-// iteration runs entirely on preallocated buffers.
-func TestLogReductionStepZeroAlloc(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("allocation counts are perturbed under the race detector")
-	}
-	b0, b1, b2 := logRedBlocks()
-	s := newLogRedState(b0.Rows(), nil, 1)
-	if err := s.start(b0, b1, b2); err != nil {
-		t.Fatal(err)
-	}
-	// A converged state keeps iterating harmlessly (t shrinks toward zero),
-	// so AllocsPerRun can re-run step on the same state.
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := s.step(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("logReduction step allocated %.0f times per run, want 0", allocs)
-	}
-}
 
 // TestNewValidationOrderStable checks that when several blocks are malformed,
 // New reports the same block every time — validation follows the fixed order

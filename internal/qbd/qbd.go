@@ -1,8 +1,9 @@
 // Package qbd solves Quasi-Birth-Death processes — continuous-time Markov
 // chains whose generator is block tridiagonal with a repeating portion —
-// using the matrix-geometric method of Neuts and the logarithmic-reduction
-// algorithm of Latouche and Ramaswami, the same machinery the paper cites
-// ([10]) for solving its foreground/background model.
+// using the matrix-geometric method of Neuts, the same method the paper uses
+// for its foreground/background model. The minimal R comes from the
+// cyclic-reduction algorithm of Bini and Meini; the logarithmic reduction the
+// paper cites ([10]) survives only as a test oracle in package qbdtest.
 //
 // A QBD is described by the repeating blocks (A0, A1, A2): A0 carries the
 // rates one level up, A2 one level down, and A1 the within-level rates
@@ -11,7 +12,7 @@
 // minimal nonnegative solution of A0 + R·A1 + R²·A2 = 0.
 //
 // The solver hot loops run on preallocated working sets (mat.Workspace and
-// the *Into kernels): the logarithmic-reduction iteration performs zero heap
+// the *Into kernels): the cyclic-reduction iteration performs zero heap
 // allocations in steady state, pinned by regression tests.
 package qbd
 
@@ -41,15 +42,15 @@ type Process struct {
 	a0, a1, a2 *mat.Matrix
 	order      int
 
-	// Drift is needed by Stable, the R error path, and first-passage
-	// queries; it is computed at most once per process.
+	// Drift is needed by Stable and the R error path; it is computed at most
+	// once per process.
 	driftOnce          sync.Once
 	driftUp, driftDown float64
 	driftErr           error
 
-	// tuning selects the G/R iteration and the intra-solve multiply fan-out;
-	// the zero value is the default (cyclic reduction, serial).
-	tuning Tuning
+	// workers bounds the block-row fan-out of the multiplies inside the R
+	// iteration; the zero value runs serially.
+	workers int
 
 	// Sparse snapshots of A0/A2, built lazily for large sparse blocks (the
 	// scaled-identity-like transition blocks of the paper's chains); nil when
@@ -139,8 +140,7 @@ func (p *Process) A2() *mat.Matrix { return p.a2.Clone() }
 // Drift returns the mean upward and downward drift rates (φA0e, φA2e) under
 // the stationary phase distribution φ of the generator A = A0+A1+A2. The
 // process is positive recurrent iff up < down. The result is computed once
-// and cached, so Stable, R, and the passage-time queries share a single
-// StationaryCTMC solve.
+// and cached, so Stable and R share a single StationaryCTMC solve.
 func (p *Process) Drift() (up, down float64, err error) {
 	p.driftOnce.Do(p.computeDrift)
 	return p.driftUp, p.driftDown, p.driftErr
@@ -330,19 +330,12 @@ func (p *Process) Stable() (bool, error) {
 	return up < down, nil
 }
 
-// G computes the first-passage matrix G — entry (i,j) is the probability that
-// the process, started in phase i of level n+1, first enters level n in phase
-// j — by logarithmic reduction on the uniformized chain. For a recurrent QBD,
-// G is stochastic.
-func (p *Process) G() (*mat.Matrix, error) {
-	g, _, _, err := p.gWS(nil, nil)
-	return g, err
-}
-
-// gWS is G with an optional workspace supplying the reduction's scratch
-// buffers and an optional observer receiving the per-iteration convergence
-// trace (nil is valid for both). It also returns the iteration count and the
-// final residual for convergence reporting.
+// gWS computes the first-passage matrix G — entry (i,j) is the probability
+// that the process, started in phase i of level n+1, first enters level n in
+// phase j — by cyclic reduction on the uniformized chain. ws optionally
+// supplies the reduction's scratch buffers and o optionally receives the
+// per-iteration convergence trace (nil is valid for both). It also returns
+// the iteration count and the final residual for convergence reporting.
 func (p *Process) gWS(ws *mat.Workspace, o obs.Observer) (*mat.Matrix, int, float64, error) {
 	// Uniformize: the diagonal lives in A1.
 	theta := 0.0
@@ -362,169 +355,9 @@ func (p *Process) gWS(ws *mat.Workspace, o obs.Observer) (*mat.Matrix, int, floa
 		b1.Add(i, i, 1)
 	}
 	b2 := ws.MatrixUninit(m, m).ScaleInto(p.a2, 1/theta)
-	var (
-		g        *mat.Matrix
-		iters    int
-		residual float64
-		err      error
-	)
-	switch p.tuning.Scheme {
-	case RSchemeLogarithmic:
-		g, iters, residual, err = logReductionObs(b0, b1, b2, ws, o, p.tuning.Workers)
-	default:
-		g, iters, residual, err = cyclicReductionObs(b0, b1, b2, ws, o, p.tuning.Workers)
-	}
+	g, iters, residual, err := cyclicReductionObs(b0, b1, b2, ws, o, p.workers)
 	ws.Release(b0, b1, b2)
 	return g, iters, residual, err
-}
-
-// logRedState is the preallocated working set of one logarithmic-reduction
-// run: the ~8 square temporaries of the iteration, a reusable LU, and a row-
-// sum buffer. After newLogRedState, the steady-state step performs zero heap
-// allocations (pinned by TestLogReductionStepZeroAlloc).
-type logRedState struct {
-	ws      *mat.Workspace
-	workers int
-
-	id      *mat.Matrix // I, fixed
-	h, l    *mat.Matrix // level-up / level-down kernels
-	g, t    *mat.Matrix // accumulated G and the product of h's
-	u       *mat.Matrix // h·l + l·h
-	hh, ll  *mat.Matrix // h², l²
-	tl      *mat.Matrix // t·l, shared by the G update and the stop criterion
-	inv     *mat.Matrix // (I − u)⁻¹
-	scratch *mat.Matrix // ping-pong partner / subtraction target
-	lu      *mat.LU
-	rowSums []float64
-
-	// defect is the residual (max |1 − rowsum(G)|) after the latest step —
-	// the quantity the convergence trace reports.
-	defect float64
-}
-
-// newLogRedState acquires the working set for order-m blocks from ws (nil ws
-// allocates directly). workers bounds the block-row fan-out of the step's
-// multiplies (<= 1 serial; results are bit-identical for every worker count).
-func newLogRedState(m int, ws *mat.Workspace, workers int) *logRedState {
-	return &logRedState{
-		ws:      ws,
-		workers: workers,
-		// Every buffer but the identity is fully overwritten before its first
-		// read (products, clones, differences, inverse targets), so the
-		// working set skips acquisition zeroing.
-		id:      ws.Identity(m),
-		h:       ws.MatrixUninit(m, m),
-		l:       ws.MatrixUninit(m, m),
-		g:       ws.MatrixUninit(m, m),
-		t:       ws.MatrixUninit(m, m),
-		u:       ws.MatrixUninit(m, m),
-		hh:      ws.MatrixUninit(m, m),
-		ll:      ws.MatrixUninit(m, m),
-		tl:      ws.MatrixUninit(m, m),
-		inv:     ws.MatrixUninit(m, m),
-		scratch: ws.MatrixUninit(m, m),
-		lu:      ws.LU(m),
-		rowSums: ws.Vector(m),
-	}
-}
-
-// release hands every buffer except g (the caller's result) back to the
-// workspace.
-func (s *logRedState) release() {
-	s.ws.Release(s.id, s.h, s.l, s.t, s.u, s.hh, s.ll, s.tl, s.inv, s.scratch)
-	s.ws.ReleaseLU(s.lu)
-	s.ws.ReleaseVector(s.rowSums)
-}
-
-// start initializes the kernels from the DTMC blocks (b0 up, b1 local, b2
-// down): h = (I−b1)⁻¹·b0, l = (I−b1)⁻¹·b2, g = l, t = h.
-func (s *logRedState) start(b0, b1, b2 *mat.Matrix) error {
-	s.scratch.SubInto(s.id, b1)
-	if err := mat.FactorizeInto(s.lu, s.scratch); err != nil {
-		return err
-	}
-	s.lu.InverseInto(s.inv)
-	s.h.MulInto(s.inv, b0)
-	s.l.MulInto(s.inv, b2)
-	s.l.CloneInto(s.g)
-	s.h.CloneInto(s.t)
-	return nil
-}
-
-// step runs one reduction iteration in place, with zero heap allocations:
-// every temporary is a preallocated buffer, and t advances by ping-ponging
-// with scratch. done reports convergence (G's defect below 1e-13, or a
-// negligible update for transient chains).
-func (s *logRedState) step() (done bool, err error) {
-	mat.MulIntoWorkers(s.u, s.h, s.l, s.workers)
-	mat.MulIntoWorkers(s.scratch, s.l, s.h, s.workers)
-	s.u.AddInPlace(s.scratch)
-	mat.MulIntoWorkers(s.hh, s.h, s.h, s.workers)
-	mat.MulIntoWorkers(s.ll, s.l, s.l, s.workers)
-	s.scratch.SubInto(s.id, s.u)
-	if err := mat.FactorizeInto(s.lu, s.scratch); err != nil {
-		return false, err
-	}
-	s.lu.InverseInto(s.inv)
-	mat.MulIntoWorkers(s.h, s.inv, s.hh, s.workers)
-	mat.MulIntoWorkers(s.l, s.inv, s.ll, s.workers)
-	mat.MulIntoWorkers(s.tl, s.t, s.l, s.workers) // shared by the G update and the step criterion below
-	s.g.AddInPlace(s.tl)
-	// For a recurrent QBD the row sums of G approach one; the defect
-	// measures remaining mass. For transient chains this never reaches
-	// zero, so also stop when the update becomes negligible.
-	defect := 0.0
-	for _, rs := range s.g.RowSumsInto(s.rowSums) {
-		if d := math.Abs(1 - rs); d > defect {
-			defect = d
-		}
-	}
-	s.defect = defect
-	if defect < 1e-13 || s.tl.MaxAbs() < 1e-15 {
-		return true, nil
-	}
-	mat.MulIntoWorkers(s.scratch, s.t, s.h, s.workers)
-	s.t, s.scratch = s.scratch, s.t
-	return false, nil
-}
-
-// logReduction runs the Latouche–Ramaswami logarithmic-reduction algorithm on
-// the DTMC blocks (b0 up, b1 local, b2 down). It also reports the number of
-// iterations taken, which the op-count regression tests use to pin the exact
-// multiplication budget of this innermost solver loop (8·iters + 1 matrix
-// products).
-func logReduction(b0, b1, b2 *mat.Matrix) (*mat.Matrix, int, error) {
-	g, iters, _, err := logReductionObs(b0, b1, b2, nil, nil, 1)
-	return g, iters, err
-}
-
-// logReductionObs is logReduction drawing its working set from ws (nil ws
-// allocates), reporting the per-iteration residual to o (nil o skips all
-// reporting — the unobserved loop stays allocation-free), and fanning its
-// block-row multiplies over workers goroutines (<= 1 serial; results are
-// bit-identical for every worker count). The returned G is not handed back
-// to ws; every other buffer is released for reuse by later solver stages.
-// residual is G's defect after the final iteration.
-func logReductionObs(b0, b1, b2 *mat.Matrix, ws *mat.Workspace, o obs.Observer, workers int) (g *mat.Matrix, iters int, residual float64, err error) {
-	s := newLogRedState(b0.Rows(), ws, workers)
-	defer s.release()
-	if err := s.start(b0, b1, b2); err != nil {
-		return nil, 0, 0, fmt.Errorf("qbd: logarithmic reduction: %w", err)
-	}
-	const maxIter = 200
-	for iter := 0; iter < maxIter; iter++ {
-		done, err := s.step()
-		if o != nil {
-			o.RIteration(iter+1, s.defect)
-		}
-		if err != nil {
-			return nil, iter, s.defect, fmt.Errorf("qbd: logarithmic reduction step %d: %w", iter, err)
-		}
-		if done {
-			return s.g, iter + 1, s.defect, nil
-		}
-	}
-	return nil, maxIter, s.defect, fmt.Errorf("%w: logarithmic reduction after %d iterations", ErrNoConvergence, maxIter)
 }
 
 // R computes the rate matrix R, the minimal nonnegative solution of
@@ -590,41 +423,4 @@ func (p *Process) rWS(ws *mat.Workspace, o obs.Observer) (*mat.Matrix, error) {
 		o.RSolved(iters, residual, mat.SpectralRadius(r, 1e-12, 10000))
 	}
 	return r, nil
-}
-
-// RByIteration computes R by the classical functional iteration
-// R ← −(A0 + R²A2)·A1⁻¹, mainly as an independent cross-check of the
-// logarithmic-reduction path. tol is the max-abs change stopping criterion.
-// The loop runs on four preallocated buffers (R, R², the assembled update,
-// and a difference scratch) with zero allocations per iteration.
-func (p *Process) RByIteration(tol float64, maxIter int) (*mat.Matrix, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if maxIter <= 0 {
-		maxIter = 100000
-	}
-	invA1, err := mat.Inverse(p.a1)
-	if err != nil {
-		return nil, fmt.Errorf("qbd: RByIteration: %w", err)
-	}
-	m := p.order
-	r := mat.New(m, m)
-	rr := mat.New(m, m)
-	next := mat.New(m, m)
-	diff := mat.New(m, m)
-	for iter := 0; iter < maxIter; iter++ {
-		rr.MulInto(r, r)
-		diff.MulInto(rr, p.a2)
-		diff.AddInPlace(p.a0)
-		next.MulInto(diff, invA1)
-		next.Scale(-1)
-		diff.SubInto(next, r)
-		d := diff.MaxAbs()
-		r, next = next, r
-		if d < tol {
-			return r, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: functional iteration after %d steps", ErrNoConvergence, maxIter)
 }

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"bgperf/internal/mat"
+	"bgperf/internal/qbd/qbdtest"
 )
 
 // mm1 builds the M/M/1 queue as a degenerate one-phase QBD.
@@ -135,19 +136,6 @@ func TestCriticallyLoadedRejected(t *testing.T) {
 	}
 }
 
-func TestGStochastic(t *testing.T) {
-	p, _ := me2q(0.5, 1)
-	g, err := p.G()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range g.RowSums() {
-		if math.Abs(s-1) > 1e-9 {
-			t.Errorf("G row %d sums to %v, want 1 (recurrent)", i, s)
-		}
-	}
-}
-
 func TestRQuadraticResidual(t *testing.T) {
 	p, _ := me2q(0.7, 1)
 	r, err := p.R()
@@ -162,16 +150,16 @@ func TestRQuadraticResidual(t *testing.T) {
 
 func TestRMatchesFunctionalIteration(t *testing.T) {
 	p, _ := me2q(0.8, 1)
-	rLR, err := p.R()
+	rCR, err := p.R()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rFI, err := p.RByIteration(1e-13, 0)
+	rFI, err := qbdtest.FunctionalIterationR(p.A0(), p.A1(), p.A2(), 1e-13, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rLR.Equalf(rFI, 1e-8) {
-		t.Errorf("logarithmic reduction and functional iteration disagree:\n%v\nvs\n%v", rLR, rFI)
+	if !rCR.Equalf(rFI, 1e-8) {
+		t.Errorf("cyclic reduction and functional iteration disagree:\n%v\nvs\n%v", rCR, rFI)
 	}
 }
 
@@ -382,7 +370,7 @@ func TestQuickRandomStableQBD(t *testing.T) {
 	}
 }
 
-func BenchmarkRLogReduction(b *testing.B) {
+func BenchmarkR(b *testing.B) {
 	p, _ := me2q(0.8, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

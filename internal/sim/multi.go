@@ -45,19 +45,19 @@ func (c MultiConfig) withDefaults() MultiConfig {
 func (c MultiConfig) validate() error {
 	switch {
 	case c.Arrival == nil:
-		return fmt.Errorf("%w: nil arrival process", ErrMultiConfig)
+		return core.NewValidationError(ErrMultiConfig, "Arrival", "nil arrival process")
 	case c.ServiceRate <= 0:
-		return fmt.Errorf("%w: service rate %g", ErrMultiConfig, c.ServiceRate)
+		return core.NewValidationError(ErrMultiConfig, "ServiceRate", "service rate %g must be positive", c.ServiceRate)
 	case c.BG1Prob < 0 || c.BG2Prob < 0 || c.BG1Prob+c.BG2Prob > 1:
-		return fmt.Errorf("%w: spawn probabilities (%g, %g)", ErrMultiConfig, c.BG1Prob, c.BG2Prob)
+		return core.NewValidationError(ErrMultiConfig, "BG1Prob", "spawn probabilities (%g, %g) must be nonnegative with sum <= 1", c.BG1Prob, c.BG2Prob)
 	case c.BG1Buffer < 0 || c.BG2Buffer < 0:
-		return fmt.Errorf("%w: negative buffer", ErrMultiConfig)
+		return core.NewValidationError(ErrMultiConfig, "BG1Buffer", "negative buffer")
 	case (c.BG1Prob > 0 && c.BG1Buffer > 0 || c.BG2Prob > 0 && c.BG2Buffer > 0) && c.IdleRate <= 0:
-		return fmt.Errorf("%w: idle rate required with background work", ErrMultiConfig)
+		return core.NewValidationError(ErrMultiConfig, "IdleRate", "idle rate %g must be positive when background work exists", c.IdleRate)
 	case c.MeasureTime <= 0:
-		return fmt.Errorf("%w: measurement window %g", ErrMultiConfig, c.MeasureTime)
+		return core.NewValidationError(ErrMultiConfig, "MeasureTime", "measurement window %g must be positive", c.MeasureTime)
 	case c.WarmupTime < 0:
-		return fmt.Errorf("%w: negative warmup", ErrMultiConfig)
+		return core.NewValidationError(ErrMultiConfig, "WarmupTime", "negative warmup")
 	}
 	return nil
 }

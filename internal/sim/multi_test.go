@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -10,21 +11,30 @@ import (
 func TestMultiValidation(t *testing.T) {
 	ap := poisson(t, 1)
 	tests := []struct {
-		name string
-		cfg  MultiConfig
+		name  string
+		cfg   MultiConfig
+		field string
 	}{
-		{"nil arrival", MultiConfig{ServiceRate: 1, MeasureTime: 10}},
-		{"no service", MultiConfig{Arrival: ap, MeasureTime: 10}},
-		{"bad probs", MultiConfig{Arrival: ap, ServiceRate: 2, BG1Prob: 0.7, BG2Prob: 0.7, MeasureTime: 10}},
-		{"negative buffer", MultiConfig{Arrival: ap, ServiceRate: 2, BG1Buffer: -1, MeasureTime: 10}},
-		{"no idle rate", MultiConfig{Arrival: ap, ServiceRate: 2, BG1Prob: 0.2, BG1Buffer: 2, MeasureTime: 10}},
-		{"no window", MultiConfig{Arrival: ap, ServiceRate: 2}},
-		{"negative warmup", MultiConfig{Arrival: ap, ServiceRate: 2, MeasureTime: 1, WarmupTime: -1}},
+		{"nil arrival", MultiConfig{ServiceRate: 1, MeasureTime: 10}, "Arrival"},
+		{"no service", MultiConfig{Arrival: ap, MeasureTime: 10}, "ServiceRate"},
+		{"bad probs", MultiConfig{Arrival: ap, ServiceRate: 2, BG1Prob: 0.7, BG2Prob: 0.7, MeasureTime: 10}, "BG1Prob"},
+		{"negative buffer", MultiConfig{Arrival: ap, ServiceRate: 2, BG1Buffer: -1, MeasureTime: 10}, "BG1Buffer"},
+		{"no idle rate", MultiConfig{Arrival: ap, ServiceRate: 2, BG1Prob: 0.2, BG1Buffer: 2, MeasureTime: 10}, "IdleRate"},
+		{"no window", MultiConfig{Arrival: ap, ServiceRate: 2}, "MeasureTime"},
+		{"negative warmup", MultiConfig{Arrival: ap, ServiceRate: 2, MeasureTime: 1, WarmupTime: -1}, "WarmupTime"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := RunMulti(tt.cfg); err == nil {
-				t.Error("invalid config accepted")
+			_, err := RunMulti(tt.cfg)
+			if !errors.Is(err, ErrMultiConfig) {
+				t.Fatalf("error %v does not wrap ErrMultiConfig", err)
+			}
+			var verr *core.ValidationError
+			if !errors.As(err, &verr) {
+				t.Fatalf("error %v is not a *core.ValidationError", err)
+			}
+			if verr.Field != tt.field {
+				t.Errorf("Field = %q, want %q", verr.Field, tt.field)
 			}
 		})
 	}

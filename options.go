@@ -8,30 +8,8 @@ import (
 	"bgperf/internal/core"
 	"bgperf/internal/obs"
 	"bgperf/internal/plan"
-	"bgperf/internal/qbd"
 	"bgperf/internal/sim"
 )
-
-// RScheme selects the matrix iteration the analytic solver uses to compute
-// the rate matrix R of the QBD chain. Both schemes converge to the same
-// minimal solution (they agree to 1e-12 on every model configuration, pinned
-// by tests); they differ in per-iteration cost.
-type RScheme = qbd.RScheme
-
-// R iteration schemes for WithRScheme.
-const (
-	// RSchemeCyclic is cyclic reduction (Bini–Meini) — the default and the
-	// faster scheme on every block size.
-	RSchemeCyclic = qbd.RSchemeCyclic
-	// RSchemeLogarithmic is logarithmic reduction (Latouche–Ramaswami), the
-	// scheme the paper cites; kept as an independent cross-check and for
-	// convergence traces in G-defect form.
-	RSchemeLogarithmic = qbd.RSchemeLogarithmic
-)
-
-// ParseRScheme maps "cyclic" / "logarithmic" back to the scheme constants
-// (the inverse of RScheme.String).
-func ParseRScheme(s string) (RScheme, error) { return qbd.ParseRScheme(s) }
 
 // Option configures a single call to one of the package entry points
 // (Solve, NewModel, Simulate, SimulateReplications, SolveMulti, FitMMPP2).
@@ -47,7 +25,6 @@ type callOpts struct {
 	ctx      context.Context
 	workers  int
 	reps     int
-	scheme   RScheme
 	planVar  plan.Var
 	tol      float64
 	maxIter  int
@@ -105,20 +82,6 @@ func WithWorkers(n int) Option {
 	return func(c *callOpts) { c.workers = n }
 }
 
-// WithRScheme selects the R iteration of the analytic solves (Solve,
-// NewModel, SolveMulti): RSchemeCyclic (the default) or RSchemeLogarithmic.
-// Both yield metrics that agree to far below the solver tolerance; the
-// option exists for cross-checking and for logarithmic-reduction convergence
-// traces under WithObserver.
-func WithRScheme(s RScheme) Option {
-	return func(c *callOpts) { c.scheme = s }
-}
-
-// tuning bundles the resolved solver knobs for the analytic entry points.
-func (c callOpts) tuning() qbd.Tuning {
-	return qbd.Tuning{Scheme: c.scheme, Workers: c.workers}
-}
-
 // planOptions bundles the resolved knobs for the inverse-solver entry points
 // (Plan, PlanFromTrace, PlanCacheKey). Zero values pass through: the plan
 // package is the single defaulting point, so the facade, the CLI, and the
@@ -129,7 +92,6 @@ func (c callOpts) planOptions() plan.Options {
 		Tol:      c.tol,
 		MaxIter:  c.maxIter,
 		Workers:  c.workers,
-		Scheme:   c.scheme,
 		Observer: c.observer,
 		Ctx:      c.ctx,
 	}

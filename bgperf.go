@@ -35,7 +35,6 @@ import (
 	"bgperf/internal/arrival"
 	"bgperf/internal/core"
 	"bgperf/internal/mat"
-	"bgperf/internal/multiclass"
 	"bgperf/internal/phtype"
 	"bgperf/internal/sim"
 	"bgperf/internal/trace"
@@ -72,21 +71,6 @@ type (
 // law via Config.Service (the paper's footnote 3 extension).
 type PHDist = phtype.Dist
 
-// Two-priority background extension (the paper's announced future work):
-// class 1 is served before class 2 whenever the idle wait expires.
-type (
-	// MultiConfig parameterizes the two-priority background model.
-	MultiConfig = multiclass.Config
-	// MultiMetrics bundles its per-class steady-state metrics.
-	MultiMetrics = multiclass.Metrics
-	// MultiSolution is a solved two-priority model.
-	MultiSolution = multiclass.Solution
-	// MultiSimConfig parameterizes the two-priority event simulator.
-	MultiSimConfig = sim.MultiConfig
-	// MultiSimResult holds its measured estimates.
-	MultiSimResult = sim.MultiResult
-)
-
 // Simulation types.
 type (
 	// SimConfig parameterizes the event simulator.
@@ -121,6 +105,7 @@ const (
 	KindFG    = core.KindFG
 	KindBG    = core.KindBG
 	KindIdle  = core.KindIdle
+	KindBG2   = core.KindBG2
 )
 
 // Background admission policies (PR 10 scenario expansion): blind admission,
@@ -226,27 +211,6 @@ func SimulateReplications(cfg SimConfig, opts ...Option) (*SimReplications, erro
 	}
 	return sim.RunReplicationsOpts(o.ctx, cfg, o.reps, o.workers, o.observer)
 }
-
-// SolveMulti builds and solves the two-priority background model, with the
-// same option semantics as Solve.
-func SolveMulti(cfg MultiConfig, opts ...Option) (*MultiSolution, error) {
-	o := apply(opts)
-	if o.err != nil {
-		return nil, o.err
-	}
-	if err := ctxErr(o.ctx); err != nil {
-		return nil, err
-	}
-	m, err := multiclass.NewModel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.SetWorkers(o.workers)
-	return m.SolveObserved(o.observer)
-}
-
-// SimulateMulti runs the two-priority event simulator.
-func SimulateMulti(cfg MultiSimConfig) (*MultiSimResult, error) { return sim.RunMulti(cfg) }
 
 // NewMAP builds a MAP from its (D0, D1) description given as dense row
 // slices.

@@ -199,28 +199,34 @@ func TestMultiFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := bgperf.SolveMulti(bgperf.MultiConfig{
+	sol, err := bgperf.Solve(bgperf.Config{
 		Arrival: arr, ServiceRate: bgperf.ServiceRatePerMs,
-		BG1Prob: 0.2, BG2Prob: 0.4, BG1Buffer: 3, BG2Buffer: 3,
+		BGProb: 0.2, BG2Prob: 0.4, BGBuffer: 3, BG2Buffer: 3,
 		IdleRate: bgperf.ServiceRatePerMs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.CompBG1 < sol.CompBG2 {
-		t.Errorf("priority inverted: %v < %v", sol.CompBG1, sol.CompBG2)
+	if sol.BG2 == nil {
+		t.Fatal("two-class solve reported no class-2 metrics")
 	}
-	res, err := bgperf.SimulateMulti(bgperf.MultiSimConfig{
+	if sol.CompBG < sol.BG2.Comp {
+		t.Errorf("priority inverted: %v < %v", sol.CompBG, sol.BG2.Comp)
+	}
+	if p := sol.KindProb(bgperf.KindBG2); p != sol.BG2.Util {
+		t.Errorf("KindProb(KindBG2) = %v, BG2.Util %v", p, sol.BG2.Util)
+	}
+	res, err := bgperf.Simulate(bgperf.SimConfig{
 		Arrival: arr, ServiceRate: bgperf.ServiceRatePerMs,
-		BG1Prob: 0.2, BG2Prob: 0.4, BG1Buffer: 3, BG2Buffer: 3,
+		BGProb: 0.2, BG2Prob: 0.4, BGBuffer: 3, BG2Buffer: 3,
 		IdleRate: bgperf.ServiceRatePerMs,
 		Seed:     2, WarmupTime: 1e5, MeasureTime: 1e7,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.QLenFG <= 0 {
-		t.Errorf("simulated QLenFG = %v", res.QLenFG)
+	if res.Metrics.QLenFG <= 0 || res.Metrics.BG2 == nil {
+		t.Errorf("simulated QLenFG = %v, BG2 = %v", res.Metrics.QLenFG, res.Metrics.BG2)
 	}
 }
 

@@ -612,12 +612,12 @@ func cmdMulti(args []string, out io.Writer) error {
 		diag = obs.NewDiagnostics()
 		opts = append(opts, bgperf.WithObserver(diag))
 	}
-	sol, err := bgperf.SolveMulti(bgperf.MultiConfig{
+	sol, err := bgperf.Solve(bgperf.Config{
 		Arrival:     m,
 		ServiceRate: workload.ServiceRatePerMs,
-		BG1Prob:     *p1,
+		BGProb:      *p1,
 		BG2Prob:     *p2,
-		BG1Buffer:   *buf1,
+		BGBuffer:    *buf1,
 		BG2Buffer:   *buf2,
 		IdleRate:    workload.ServiceRatePerMs / *idleMult,
 	}, opts...)
@@ -628,10 +628,14 @@ func cmdMulti(args []string, out io.Writer) error {
 		*name, *p1, *p2, *buf1, *buf2)
 	fmt.Fprintf(out, "fg queue length        %12.6g\n", sol.QLenFG)
 	fmt.Fprintf(out, "fg delayed by bg       %12.6g\n", sol.WaitPFG)
-	fmt.Fprintf(out, "class-1 completion     %12.6g\n", sol.CompBG1)
-	fmt.Fprintf(out, "class-2 completion     %12.6g\n", sol.CompBG2)
-	fmt.Fprintf(out, "class-1/2 queue length %12.6g %.6g\n", sol.QLenBG1, sol.QLenBG2)
-	fmt.Fprintf(out, "class-1/2 throughput   %12.6g %.6g\n", sol.ThroughputBG1, sol.ThroughputBG2)
+	bg2 := sol.BG2
+	if bg2 == nil { // p2 = 0: a single-class model
+		bg2 = &core.ClassMetrics{Comp: 1}
+	}
+	fmt.Fprintf(out, "class-1 completion     %12.6g\n", sol.CompBG)
+	fmt.Fprintf(out, "class-2 completion     %12.6g\n", bg2.Comp)
+	fmt.Fprintf(out, "class-1/2 queue length %12.6g %.6g\n", sol.QLenBG, bg2.QLen)
+	fmt.Fprintf(out, "class-1/2 throughput   %12.6g %.6g\n", sol.ThroughputBG, bg2.Throughput)
 	if diag != nil {
 		return writeDiag(*diagPath, diag, out)
 	}

@@ -271,10 +271,18 @@ func TestMultiCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"class-1 completion", "class-2 completion", "fg queue length"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("multi output missing %q:\n%s", want, out)
-		}
+	// Byte-for-byte: the two-class numbers must not move when the model
+	// code is restructured.
+	const want = `workload softdev, p1 0.3 (priority), p2 0.3, buffers 5+5
+fg queue length            0.618874
+fg delayed by bg           0.184415
+class-1 completion         0.747191
+class-2 completion         0.259953
+class-1/2 queue length     0.777505 1.38767
+class-1/2 throughput     0.00747191 0.00259953
+`
+	if out != want {
+		t.Errorf("multi output changed:\n got:\n%s\nwant:\n%s", out, want)
 	}
 }
 

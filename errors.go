@@ -8,7 +8,7 @@ import (
 
 // ValidationError is the typed configuration error returned by every entry
 // point that validates a Config (NewModel, Solve, Simulate,
-// SimulateReplications, SolveMulti, SimulateMulti): Field names the
+// SimulateReplications): Field names the
 // offending field and Reason explains the failure. Retrieve it with
 // errors.As:
 //

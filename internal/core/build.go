@@ -25,15 +25,25 @@ func scaled(base *mat.Matrix, rate float64) *mat.Matrix {
 }
 
 // downTargetAfterFGCompletion classifies the state reached when an FG job
-// leaves behind x BG jobs and yLeft FG jobs.
-func downTargetAfterFGCompletion(x, yLeft int) block {
-	if yLeft >= 1 {
-		return block{kind: KindFG, x: x}
-	}
-	if x == 0 {
+// leaves behind the BG jobs of b and yLeft FG jobs.
+func downTargetAfterFGCompletion(b block, yLeft int) block {
+	switch {
+	case yLeft >= 1:
+		return block{kind: KindFG, x: b.x, x2: b.x2}
+	case b.x+b.x2 == 0:
 		return block{kind: KindEmpty}
+	default:
+		return block{kind: KindIdle, x: b.x, x2: b.x2}
 	}
-	return block{kind: KindIdle, x: x}
+}
+
+// bgPick is the priority pick of the next BG service among the BG jobs of
+// b: a class-1 job whenever one is buffered, otherwise a class-2 one.
+func bgPick(b block) block {
+	if b.x >= 1 {
+		return block{kind: KindBG, x: b.x, x2: b.x2}
+	}
+	return block{kind: KindBG2, x2: b.x2}
 }
 
 // completionRate returns the composite-rate matrix for a service completion
@@ -45,14 +55,14 @@ func downTargetAfterFGCompletion(x, yLeft int) block {
 // the system slows the server to φ·µ); with φ = 1 the two caches alias, so
 // the degenerate model assembles bit-identically.
 //
-// Every call during chain assembly uses prob ∈ {1, p, 1−p}, and the scaled
-// products are identical across levels, so they are precomputed once at
-// build time (buildComplCache); unknown probabilities fall back to a fresh
-// scale. The returned matrix is shared and must not be mutated.
+// Every call during chain assembly uses prob ∈ {1, p, p2, 1−p−p2}, and the
+// scaled products are identical across levels, so they are precomputed once
+// at build time (buildComplCache); unknown probabilities fall back to a
+// fresh scale. The returned matrix is shared and must not be mutated.
 func (m *Model) completionRate(to block, prob float64, mod bool) *mat.Matrix {
 	base := complStopEmptyIdx
 	switch to.kind {
-	case KindFG, KindBG:
+	case KindFG, KindBG, KindBG2:
 		base = complServeIdx
 	case KindIdle:
 		base = complStopIdleIdx
@@ -61,18 +71,22 @@ func (m *Model) completionRate(to block, prob float64, mod bool) *mat.Matrix {
 	if mod {
 		cache = &m.complCacheMod
 	}
-	switch prob {
-	case 1:
-		return cache[base][0]
-	case m.cfg.BGProb:
-		return cache[base][1]
-	case 1 - m.cfg.BGProb:
-		return cache[base][2]
+	for i, p := range m.complProbs() {
+		if prob == p {
+			return cache[base][i]
+		}
 	}
 	if mod {
 		prob *= m.cfg.ModFactor
 	}
 	return scaled(m.complBase(base), prob)
+}
+
+// complProbs lists the completion probabilities chain assembly uses, in
+// complCache order: 1, p, p2, and 1−p−p2 (1−p for a single class).
+func (m *Model) complProbs() [4]float64 {
+	p, p2 := m.cfg.BGProb, m.cfg.BG2Prob
+	return [4]float64{1, p, p2, 1 - p - p2}
 }
 
 // Completion-rate cache indices: the base matrix by completion target.
@@ -93,34 +107,41 @@ func (m *Model) complBase(base int) *mat.Matrix {
 	}
 }
 
-// buildComplCache precomputes completionRate's scaled matrices for the three
-// probabilities chain assembly uses (1, p, 1−p) across the three completion
-// targets, plus the φ-scaled modulated variants (aliased when φ = 1).
+// buildComplCache precomputes completionRate's scaled matrices for the four
+// probabilities chain assembly uses across the three completion targets,
+// plus the φ-scaled modulated variants (aliased when φ = 1). A zero
+// probability (p2 of a single-class model) caches nil without allocating.
 func (m *Model) buildComplCache() {
-	p := m.cfg.BGProb
 	phi := m.cfg.ModFactor
+	probs := m.complProbs()
 	for base := complServeIdx; base <= complStopEmptyIdx; base++ {
 		src := m.complBase(base)
-		m.complCache[base] = [3]*mat.Matrix{scaled(src, 1), scaled(src, p), scaled(src, 1-p)}
+		for i, p := range probs {
+			m.complCache[base][i] = scaled(src, p)
+		}
 		if phi == 1 {
 			m.complCacheMod[base] = m.complCache[base]
-		} else {
-			m.complCacheMod[base] = [3]*mat.Matrix{
-				scaled(src, phi), scaled(src, phi*p), scaled(src, phi*(1-p)),
-			}
+			continue
+		}
+		for i, p := range probs {
+			m.complCacheMod[base][i] = scaled(src, phi*p)
 		}
 	}
 }
 
-// admitBG reports whether a BG job generated at an FG completion is admitted
-// when the completing job leaves behind x BG jobs and yLeft foreground jobs:
-// buffer space is always required, and the util-threshold policy additionally
-// demands a foreground backlog of at most FGThreshold. Above the model's
-// boundaryTop level (yLeft > xEff + FGThreshold − x … ) the answer is
-// uniformly false under util-threshold, which keeps the repeating chain
-// level-homogeneous.
-func (m *Model) admitBG(x, yLeft int) bool {
-	if x >= m.xEff {
+// admitBG reports whether a BG job of the given class generated at an FG
+// completion is admitted when the completing job leaves behind the BG jobs
+// of b and yLeft foreground jobs: buffer space in the job's class is always
+// required, and the util-threshold policy (single-class models only)
+// additionally demands a foreground backlog of at most FGThreshold. Above
+// the model's boundaryTop level (yLeft > xEff + FGThreshold − x … ) the
+// answer is uniformly false under util-threshold, which keeps the repeating
+// chain level-homogeneous.
+func (m *Model) admitBG(b block, yLeft int, class2 bool) bool {
+	if class2 {
+		return b.x2 < m.x2Eff
+	}
+	if b.x >= m.xEff {
 		return false
 	}
 	if m.cfg.BGAdmit == AdmitUtilThreshold && yLeft > m.cfg.FGThreshold {
@@ -145,104 +166,122 @@ func (m *Model) transitionsFrom(level int) []trans {
 	blocks := m.levelBlocks(level)
 	var (
 		cfg    = m.cfg
-		p      = cfg.BGProb
+		p, p2  = cfg.BGProb, cfg.BG2Prob
 		renege = cfg.DeadlineRate > 0
 		// Worst case: six emitted transitions per block (FG with BG
 		// admission and deadline reneging); one allocation instead of
 		// log-many append growths.
 		out = make([]trans, 0, 6*len(blocks))
 	)
-	emit := func(from block, dLevel int, to block, rate *mat.Matrix) {
+	// emit records a transition out of blocks[fromIdx], the block the loop
+	// below is visiting.
+	var fromIdx int
+	emit := func(dLevel int, to block, rate *mat.Matrix) {
 		if rate == nil {
 			return
 		}
-		fromIdx := m.blockIndex(level, from)
 		toIdx := m.blockIndex(level+dLevel, to)
-		if fromIdx < 0 || toIdx < 0 {
-			panic(fmt.Sprintf("core: unmapped transition level %d %+v -> %+v", level, from, to))
+		if toIdx < 0 {
+			panic(fmt.Sprintf("core: unmapped transition level %d %+v -> %+v", level, blocks[fromIdx], to))
 		}
 		out = append(out, trans{dLevel: dLevel, fromIdx: fromIdx, toIdx: toIdx, rate: rate})
 	}
-	for _, b := range blocks {
-		y := level - b.x // FG jobs in system (0 for Empty/Idle by construction)
+	for i, b := range blocks {
+		fromIdx = i
+		y := level - b.x - b.x2 // FG jobs in system (0 for Empty/Idle by construction)
 		switch b.kind {
 		case KindEmpty:
-			emit(b, +1, block{kind: KindFG, x: 0}, m.fStart)
-			emit(b, 0, b, m.lServe)
+			emit(+1, block{kind: KindFG}, m.fStart)
+			emit(0, b, m.lServe)
 
 		case KindFG:
 			// With BG work in the system the server is modulated: every
 			// service-derived kernel is scaled by φ.
-			mod := b.x >= 1
-			emit(b, +1, block{kind: KindFG, x: b.x}, m.fServe)
-			emit(b, 0, b, m.lServe)
-			emit(b, 0, b, m.serviceOff(mod))
+			mod := b.x+b.x2 >= 1
+			emit(+1, b, m.fServe)
+			emit(0, b, m.lServe)
+			emit(0, b, m.serviceOff(mod))
 			// Completion without BG generation.
-			to := downTargetAfterFGCompletion(b.x, y-1)
-			emit(b, -1, to, m.completionRate(to, 1-p, mod))
-			if p > 0 {
-				if m.admitBG(b.x, y-1) {
-					// BG admitted: FG leaves, BG joins — same level.
-					to := block{kind: KindFG, x: b.x + 1}
-					if y-1 == 0 {
-						to = block{kind: KindIdle, x: b.x + 1}
-					}
-					emit(b, 0, to, m.completionRate(to, p, mod))
-				} else {
+			to := downTargetAfterFGCompletion(b, y-1)
+			emit(-1, to, m.completionRate(to, 1-p-p2, mod))
+			for _, class2 := range [2]bool{false, true} {
+				prob := p
+				if class2 {
+					prob = p2
+				}
+				if prob == 0 {
+					continue
+				}
+				if !m.admitBG(b, y-1, class2) {
 					// Buffer full (or the foreground backlog exceeds the
 					// util threshold): the generated BG job is dropped.
-					to := downTargetAfterFGCompletion(b.x, y-1)
-					emit(b, -1, to, m.completionRate(to, p, mod))
+					to := downTargetAfterFGCompletion(b, y-1)
+					emit(-1, to, m.completionRate(to, prob, mod))
+					continue
 				}
+				// BG admitted: FG leaves, BG joins — same level.
+				to := block{kind: KindFG, x: b.x, x2: b.x2}
+				if class2 {
+					to.x2++
+				} else {
+					to.x++
+				}
+				if y-1 == 0 {
+					to.kind = KindIdle
+				}
+				emit(0, to, m.completionRate(to, prob, mod))
 			}
 			if renege && b.x >= 1 {
 				// All b.x BG jobs wait during an FG service; each abandons
 				// at rate δ.
-				emit(b, -1, block{kind: KindFG, x: b.x - 1}, m.renegeServe[b.x])
+				emit(-1, block{kind: KindFG, x: b.x - 1}, m.renegeServe[b.x])
 			}
 
-		case KindBG:
-			emit(b, +1, block{kind: KindBG, x: b.x}, m.fServe)
-			emit(b, 0, b, m.lServe)
-			emit(b, 0, b, m.serviceOff(true))
-			if y >= 1 {
-				// BG completes with FG waiting: an FG job starts service.
-				to := block{kind: KindFG, x: b.x - 1}
-				emit(b, -1, to, m.completionRate(to, 1, true))
+		case KindBG, KindBG2:
+			emit(+1, b, m.fServe)
+			emit(0, b, m.lServe)
+			emit(0, b, m.serviceOff(true))
+			// The BG jobs left once the one in service completes.
+			left := block{x: b.x, x2: b.x2}
+			if b.kind == KindBG {
+				left.x--
 			} else {
-				// BG completes with the system otherwise empty.
-				var to block
-				switch {
-				case b.x-1 == 0:
-					to = block{kind: KindEmpty}
-				case cfg.IdlePolicy == IdleWaitPerPeriod:
-					to = block{kind: KindBG, x: b.x - 1}
-				default: // IdleWaitPerJob
-					to = block{kind: KindIdle, x: b.x - 1}
-				}
-				emit(b, -1, to, m.completionRate(to, 1, true))
+				left.x2--
 			}
+			var to block
+			switch {
+			case y >= 1:
+				// BG completes with FG waiting: an FG job starts service.
+				to = block{kind: KindFG, x: left.x, x2: left.x2}
+			case left.x+left.x2 == 0:
+				to = block{kind: KindEmpty}
+			case cfg.IdlePolicy == IdleWaitPerPeriod:
+				to = bgPick(left)
+			default: // IdleWaitPerJob
+				to = block{kind: KindIdle, x: left.x, x2: left.x2}
+			}
+			emit(-1, to, m.completionRate(to, 1, true))
 			if renege && b.x >= 2 {
 				// The in-service BG job cannot renege; the other x−1 wait.
-				emit(b, -1, block{kind: KindBG, x: b.x - 1}, m.renegeServe[b.x-1])
+				emit(-1, block{kind: KindBG, x: b.x - 1}, m.renegeServe[b.x-1])
 			}
 
 		case KindIdle:
 			// An arriving FG job seizes the idle server immediately,
 			// abandoning the idle timer.
-			emit(b, +1, block{kind: KindFG, x: b.x}, m.fStart)
-			emit(b, 0, b, m.lIdle)
-			emit(b, 0, b, m.vOff)
-			// Idle wait expires: a BG job starts service.
-			emit(b, 0, block{kind: KindBG, x: b.x}, m.idleGo)
+			emit(+1, block{kind: KindFG, x: b.x, x2: b.x2}, m.fStart)
+			emit(0, b, m.lIdle)
+			emit(0, b, m.vOff)
+			// Idle wait expires: a BG job starts service, class 1 first.
+			emit(0, bgPick(b), m.idleGo)
 			if renege {
 				// All x jobs wait during an idle wait. The last renege
 				// abandons the timer and empties the system; earlier ones
 				// keep the idle stage running.
 				if b.x >= 2 {
-					emit(b, -1, block{kind: KindIdle, x: b.x - 1}, m.renegeIdle[b.x])
+					emit(-1, block{kind: KindIdle, x: b.x - 1}, m.renegeIdle[b.x])
 				} else {
-					emit(b, -1, block{kind: KindEmpty}, m.renegeServe[1])
+					emit(-1, block{kind: KindEmpty}, m.renegeServe[1])
 				}
 			}
 		}

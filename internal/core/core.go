@@ -15,6 +15,13 @@
 // with the matrix-geometric method, and Solution exposes the paper's four
 // metrics (FG queue length, FG-delayed percentage, BG completion rate, BG
 // queue length) plus supporting rates and distributions.
+//
+// Config.BG2Prob adds the extension the paper announces as future work
+// (Sec. 6): a second, low-priority BG class with its own buffer, served
+// only when no class-1 job waits. It is one more dimension of the same
+// builder — blocks carry a class-2 count, the boundary spans X+X2+1 levels —
+// so it composes with the PH/MAP service, PH idle-wait, and modulation
+// kernels unchanged; Metrics.BG2 reports the class-2 metrics.
 package core
 
 import (
@@ -145,6 +152,17 @@ type Config struct {
 	// BGBuffer is X, the BG buffer capacity (paper default 5). X = 0 models
 	// a system that drops all BG work.
 	BGBuffer int
+	// BG2Prob is p2, the probability that a completing FG job generates a
+	// class-2 BG job instead (BGProb + BG2Prob ≤ 1). Zero, the default, is
+	// the paper's single-class model. Above zero the model has the two
+	// background priority levels the paper announces as future work
+	// (Sec. 6): BGProb and BGBuffer then describe class 1 (say, urgent WRITE
+	// verification), which the server picks before class 2 (bulk scrubbing)
+	// whenever an idle wait expires or per-period draining continues. Not
+	// supported with the util-threshold or deadline admission policies.
+	BG2Prob float64
+	// BG2Buffer is X2, the class-2 buffer capacity.
+	BG2Buffer int
 	// IdleRate is α, the rate of the exponential idle wait before BG
 	// service begins (paper default: 1/mean service time). Required
 	// positive when BGBuffer > 0, unless IdleWait is set.
@@ -203,9 +221,15 @@ func (c Config) validate() error {
 		return NewValidationError(ErrConfig, "BGProb", "BG probability %g must lie in [0,1]", c.BGProb)
 	case c.BGBuffer < 0:
 		return NewValidationError(ErrConfig, "BGBuffer", "BG buffer %d must be nonnegative", c.BGBuffer)
+	case c.BG2Prob < 0 || c.BG2Prob > 1:
+		return NewValidationError(ErrConfig, "BG2Prob", "class-2 BG probability %g must lie in [0,1]", c.BG2Prob)
+	case c.BGProb+c.BG2Prob > 1:
+		return NewValidationError(ErrConfig, "BG2Prob", "BG probabilities %g + %g exceed 1", c.BGProb, c.BG2Prob)
+	case c.BG2Buffer < 0:
+		return NewValidationError(ErrConfig, "BG2Buffer", "class-2 BG buffer %d must be nonnegative", c.BG2Buffer)
 	case c.IdleWait != nil && c.IdleRate != 0:
 		return NewValidationError(ErrConfig, "IdleWait", "set either IdleRate or IdleWait, not both")
-	case c.BGBuffer > 0 && c.IdleRate <= 0 && c.IdleWait == nil:
+	case (c.BGBuffer > 0 || c.BG2Buffer > 0) && c.IdleRate <= 0 && c.IdleWait == nil:
 		return NewValidationError(ErrConfig, "IdleRate", "idle rate %g must be positive when the BG buffer is nonempty", c.IdleRate)
 	case c.IdlePolicy != IdleWaitPerJob && c.IdlePolicy != IdleWaitPerPeriod:
 		return NewValidationError(ErrConfig, "IdlePolicy", "unknown idle-wait policy %d", int(c.IdlePolicy))
@@ -221,6 +245,8 @@ func (c Config) validate() error {
 		return NewValidationError(ErrConfig, "DeadlineRate", "deadline rate %g must be positive with the deadline admission policy", c.DeadlineRate)
 	case c.BGAdmit != AdmitDeadline && c.DeadlineRate != 0:
 		return NewValidationError(ErrConfig, "DeadlineRate", "deadline rate requires the deadline admission policy")
+	case c.BG2Prob > 0 && c.BGAdmit != AdmitAll:
+		return NewValidationError(ErrConfig, "BG2Prob", "a second BG class is not supported with the %v admission policy", c.BGAdmit)
 	}
 	return nil
 }
@@ -238,6 +264,9 @@ const (
 	// KindIdle is an idle-wait state: BG jobs present, server idle, timer
 	// running.
 	KindIdle
+	// KindBG2 is a state with a class-2 background job in service (two-class
+	// models only; KindBG then means class 1).
+	KindBG2
 )
 
 func (k Kind) String() string {
@@ -250,6 +279,8 @@ func (k Kind) String() string {
 		return "bg-serving"
 	case KindIdle:
 		return "idle-wait"
+	case KindBG2:
+		return "bg2-serving"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -266,17 +297,24 @@ func ParseKind(s string) (Kind, error) {
 		return KindBG, nil
 	case "idle-wait":
 		return KindIdle, nil
+	case "bg2-serving":
+		return KindBG2, nil
 	default:
-		return 0, NewValidationError(ErrConfig, "Kind", "unknown state kind %q (want empty, fg-serving, bg-serving, or idle-wait)", s)
+		return 0, NewValidationError(ErrConfig, "Kind", "unknown state kind %q (want empty, fg-serving, bg-serving, idle-wait, or bg2-serving)", s)
 	}
 }
 
 // block identifies one group of MAP phases within a level: the paper's
 // (x,y) / (x',y) / idle-wait states. The FG count y is implied by the level:
-// y = level − x.
+// y = level − x − x2.
+//
+// In a two-class model a class-2 service can start only when no class-1
+// job is buffered, and no class-1 job can appear while it runs (BG jobs are
+// born only at FG completions), so KindBG2 blocks always carry x = 0.
 type block struct {
 	kind Kind
-	x    int // BG jobs in system (waiting or in service)
+	x    int // class-1 BG jobs in system (waiting or in service)
+	x2   int // class-2 BG jobs in system (always 0 in single-class models)
 }
 
 // Model is a validated, solvable instance of the FG/BG chain. Each chain
@@ -332,28 +370,29 @@ type Model struct {
 	exitVec []float64 // per-composite-state service completion rates
 
 	// complCache holds the precomputed completion-rate matrices
-	// [target][prob] for prob ∈ {1, p, 1−p}; see completionRate.
+	// [target][prob] for prob ∈ {1, p, p2, 1−p−p2}; see completionRate.
 	// complCacheMod is the φ-scaled variant used out of modulated blocks
 	// (aliasing complCache when φ = 1).
-	complCache    [3][3]*mat.Matrix
-	complCacheMod [3][3]*mat.Matrix
+	complCache    [3][4]*mat.Matrix
+	complCacheMod [3][4]*mat.Matrix
 
 	// blockLayout[j] caches levelBlocks(j) for the boundary levels
-	// j = 0..xEff; repLayout is the shared layout of every repeating level
-	// (> xEff). Chain assembly resolves block indices per transition, so
-	// levelBlocks must not allocate per call. The cached slices are shared:
-	// callers must not modify them.
+	// j = 0..xEff+x2Eff; repLayout is the shared layout of every repeating
+	// level above them. Chain assembly resolves block indices per
+	// transition, so levelBlocks must not allocate per call. The cached
+	// slices are shared: callers must not modify them.
 	blockLayout [][]block
 	repLayout   []block
 
-	// xEff is the buffer size used for state-space construction: it equals
-	// cfg.BGBuffer except when BGProb = 0, where BG and idle-wait states are
+	// xEff and x2Eff are the class buffer sizes used for state-space
+	// construction: they equal cfg.BGBuffer and cfg.BG2Buffer except when
+	// the matching probability is 0, where that class's states are
 	// unreachable and are pruned to keep the phase process irreducible.
-	xEff int
+	xEff, x2Eff int
 
 	// boundaryTop is the last level treated as a QBD boundary level. It
-	// equals xEff except under AdmitUtilThreshold, where admission depends
-	// on the foreground backlog K = FGThreshold: levels up to
+	// equals xEff + x2Eff except under AdmitUtilThreshold, where admission
+	// depends on the foreground backlog K = FGThreshold: levels up to
 	// xEff + K + 1 can still admit BG jobs, and only above that is every
 	// admission uniformly denied, making the chain level-homogeneous.
 	boundaryTop int
@@ -500,9 +539,12 @@ func NewModel(cfg Config) (*Model, error) {
 		}
 	}
 
-	xEff := cfg.BGBuffer
+	xEff, x2Eff := cfg.BGBuffer, cfg.BG2Buffer
 	if cfg.BGProb == 0 {
 		xEff = 0
+	}
+	if cfg.BG2Prob == 0 {
+		x2Eff = 0
 	}
 	m := &Model{
 		cfg:            cfg,
@@ -522,6 +564,7 @@ func NewModel(cfg Config) (*Model, error) {
 		complStopEmpty: iA.Kron(complStopS).Kron(collapse),
 		complStopIdle:  iA.Kron(complStopS).Kron(oneKappa),
 		xEff:           xEff,
+		x2Eff:          x2Eff,
 	}
 	if idle != nil {
 		m.vOff = iA.Kron(iS).Kron(vOffW)
@@ -532,7 +575,7 @@ func NewModel(cfg Config) (*Model, error) {
 	} else {
 		m.tOffMod = m.tOff
 	}
-	m.boundaryTop = xEff
+	m.boundaryTop = xEff + x2Eff
 	if cfg.BGAdmit == AdmitUtilThreshold && xEff > 0 {
 		m.boundaryTop = xEff + cfg.FGThreshold + 1
 	}
@@ -548,11 +591,11 @@ func NewModel(cfg Config) (*Model, error) {
 		}
 	}
 	m.buildComplCache()
-	m.blockLayout = make([][]block, xEff+1)
-	for j := 0; j <= xEff; j++ {
-		m.blockLayout[j] = buildLevelBlocks(j, xEff)
+	m.blockLayout = make([][]block, xEff+x2Eff+1)
+	for j := range m.blockLayout {
+		m.blockLayout[j] = buildLevelBlocks(j, xEff, x2Eff)
 	}
-	m.repLayout = buildLevelBlocks(xEff+1, xEff)
+	m.repLayout = buildLevelBlocks(xEff+x2Eff+1, xEff, x2Eff)
 	dim := a * sN * wN
 	m.rateVec = make([]float64, dim)
 	m.exitVec = make([]float64, dim)
@@ -622,32 +665,38 @@ func (m *Model) FGUtilization() float64 {
 // with the idle-wait pair (j,0), (j',0). The returned slice is cached and
 // shared — callers must treat it as read-only.
 func (m *Model) levelBlocks(level int) []block {
-	if level <= m.xEff {
+	if level < len(m.blockLayout) {
 		return m.blockLayout[level]
 	}
 	return m.repLayout
 }
 
-// buildLevelBlocks constructs the block layout of one level for a buffer of
-// size x; levelBlocks serves cached copies of these.
-func buildLevelBlocks(level, x int) []block {
+// buildLevelBlocks constructs the block layout of one level for class
+// buffers of sizes x and x2; levelBlocks serves cached copies of these.
+// Blocks are grouped by their BG counts (x, x2) in lexicographic order, and
+// each group lists its FG-serving, idle-wait, and BG-serving blocks in that
+// order, so a single-class level (x2 = 0) reads (0,j), (1,j−1), (1',j−1), …
+// exactly as in the paper.
+func buildLevelBlocks(level, x, x2 int) []block {
 	if level == 0 {
 		return []block{{kind: KindEmpty}}
 	}
-	var blocks []block
-	if level <= x {
-		blocks = make([]block, 0, 2*level+1)
-		blocks = append(blocks, block{kind: KindFG, x: 0})
-		for i := 1; i < level; i++ {
-			blocks = append(blocks, block{kind: KindFG, x: i}, block{kind: KindBG, x: i})
+	blocks := make([]block, 0, 2*(x+1)*(x2+1))
+	for i := 0; i <= x && i <= level; i++ {
+		for k := 0; k <= x2 && i+k <= level; k++ {
+			switch y := level - i - k; {
+			case y >= 1:
+				blocks = append(blocks, block{kind: KindFG, x: i, x2: k})
+			case i+k >= 1:
+				blocks = append(blocks, block{kind: KindIdle, x: i, x2: k})
+			}
+			switch {
+			case i >= 1:
+				blocks = append(blocks, block{kind: KindBG, x: i, x2: k})
+			case k >= 1:
+				blocks = append(blocks, block{kind: KindBG2, x2: k})
+			}
 		}
-		blocks = append(blocks, block{kind: KindIdle, x: level}, block{kind: KindBG, x: level})
-		return blocks
-	}
-	blocks = make([]block, 0, 2*x+1)
-	blocks = append(blocks, block{kind: KindFG, x: 0})
-	for i := 1; i <= x; i++ {
-		blocks = append(blocks, block{kind: KindFG, x: i}, block{kind: KindBG, x: i})
 	}
 	return blocks
 }

@@ -16,9 +16,9 @@ type ValidationError struct {
 }
 
 // NewValidationError builds a ValidationError for a field, wrapping the given
-// package sentinel. It is shared by the sibling model packages (sim,
-// multiclass) so every configuration error across the repo carries the same
-// inspectable shape.
+// package sentinel. It is shared by the sibling packages (sim, serve, …) so
+// every configuration error across the repo carries the same inspectable
+// shape.
 func NewValidationError(sentinel error, field, format string, args ...any) *ValidationError {
 	return &ValidationError{
 		Field:    field,

@@ -33,6 +33,9 @@ const (
 	keyTagBGAdmit
 	keyTagFGThreshold
 	keyTagDeadlineRate
+	// The second BG class, written only when it is present (BG2Prob > 0),
+	// so every single-class configuration keeps its key.
+	keyTagBG2
 )
 
 // KeySectionPlan tags the planner extension section appended by CacheKeyExt:
@@ -45,8 +48,8 @@ const KeySectionPlan byte = 0x50
 // configuration: the hex-encoded SHA-256 of a tagged binary encoding of the
 // validated Config (defaults applied). Two configurations receive the same
 // key exactly when they describe the same chain — the same arrival MAP
-// matrices, service law, BG probability and buffer, idle-wait law, and idle
-// policy — which makes the key safe to use for memoizing Solve results:
+// matrices, service law, BG probabilities and buffers, idle-wait law, and
+// idle policy — which makes the key safe to use for memoizing Solve results:
 // identical keys always yield bit-identical solutions. Invalid
 // configurations return the same *ValidationError that NewModel would.
 func CacheKey(cfg Config) (string, error) {
@@ -129,6 +132,10 @@ func hashConfig(h hash.Hash, cfg Config) error {
 		case AdmitDeadline:
 			keyFloats(h, keyTagDeadlineRate, cfg.DeadlineRate)
 		}
+	}
+	if cfg.BG2Prob > 0 {
+		keyFloats(h, keyTagBG2, cfg.BG2Prob)
+		binary.Write(h, binary.LittleEndian, int64(cfg.BG2Buffer))
 	}
 	return nil
 }

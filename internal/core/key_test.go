@@ -192,6 +192,29 @@ func TestCacheKeyScenarioTagDisambiguation(t *testing.T) {
 	if util2Key == utilKey {
 		t.Fatal("FGThreshold 0 and 1 collided under util-threshold")
 	}
+	// A second BG class must key apart from its single-class twin (same
+	// class-1 fields), and its buffer must be part of the payload; a zero
+	// class-2 probability leaves the single-class key untouched.
+	twoClass := base
+	twoClass.BG2Prob = 0.2
+	twoClass.BG2Buffer = 3
+	twoKey, err := CacheKey(twoClass)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twoClass.BG2Buffer = 4
+	twoKey4, err := CacheKey(twoClass)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twoKey == baseKey || twoKey == twoKey4 {
+		t.Fatalf("two-class keys collided: base %s, X2=3 %s, X2=4 %s", baseKey, twoKey, twoKey4)
+	}
+	noClass2 := base
+	noClass2.BG2Buffer = 3
+	if k, err := CacheKey(noClass2); err != nil || k != baseKey {
+		t.Fatalf("BG2Prob = 0 perturbed the key: %s vs %s (%v)", k, baseKey, err)
+	}
 }
 
 // TestCacheKeyTagDisambiguation pins that an exponential service given as a

@@ -141,7 +141,7 @@ func TestBruteForceAgreementUtilThreshold(t *testing.T) {
 			qlenBG += float64(b.x) * mass
 			if b.kind == KindFG {
 				complFG += mass * mu
-				if !m.admitBG(b.x, j-b.x-1) {
+				if !m.admitBG(b, j-b.x-1, false) {
 					complDenied += mass * mu
 				}
 			}
@@ -314,6 +314,16 @@ func TestScenarioConfigValidation(t *testing.T) {
 		{"threshold without policy", func(c *Config) { c.FGThreshold = 2 }, "FGThreshold"},
 		{"deadline without rate", func(c *Config) { c.BGAdmit = AdmitDeadline }, "DeadlineRate"},
 		{"rate without deadline", func(c *Config) { c.DeadlineRate = 0.5 }, "DeadlineRate"},
+		{"negative class-2 probability", func(c *Config) { c.BG2Prob = -0.1 }, "BG2Prob"},
+		{"class probabilities over 1", func(c *Config) { c.BG2Prob = 0.6 }, "BG2Prob"},
+		{"negative class-2 buffer", func(c *Config) { c.BG2Prob = 0.2; c.BG2Buffer = -1 }, "BG2Buffer"},
+		{"class 2 without idle rate", func(c *Config) { c.BGBuffer = 0; c.IdleRate = 0; c.BG2Buffer = 2 }, "IdleRate"},
+		{"class 2 with util threshold", func(c *Config) { c.BG2Prob = 0.2; c.BGAdmit = AdmitUtilThreshold }, "BG2Prob"},
+		{"class 2 with deadline", func(c *Config) {
+			c.BG2Prob = 0.2
+			c.BGAdmit = AdmitDeadline
+			c.DeadlineRate = 0.5
+		}, "BG2Prob"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

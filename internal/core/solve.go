@@ -58,6 +58,25 @@ type Metrics struct {
 	// expires before their service starts. Always 0 unless BGAdmit is
 	// AdmitDeadline.
 	DeadlineMissBG float64 `json:"deadlineMissBG"`
+
+	// BG2 holds the class-2 metrics of a two-class model (Config.BG2Prob >
+	// 0) and is nil otherwise. The BG fields above then describe class 1;
+	// WaitPFG (delayed by a BG job of either class), ProbIdleWait, and
+	// ProbEmpty stay server-wide.
+	BG2 *ClassMetrics `json:"bg2,omitempty"`
+}
+
+// ClassMetrics are the metrics of the class-2 (low-priority) background
+// jobs of a two-class model, each defined like the class-1 field of Metrics
+// it mirrors (QLen like QLenBG, Comp like CompBG, …).
+type ClassMetrics struct {
+	QLen       float64 `json:"qlen"`
+	Comp       float64 `json:"comp"`
+	Util       float64 `json:"util"`
+	Throughput float64 `json:"throughput"`
+	GenRate    float64 `json:"genRate"`
+	DropRate   float64 `json:"dropRate"`
+	RespTime   float64 `json:"respTime"`
 }
 
 // Solution is a solved model: the metrics plus access to the underlying
@@ -187,9 +206,9 @@ func (s *Solution) computeMetrics() {
 	s.ProbIdleWait = s.kindMass(KindIdle)
 	s.ProbEmpty = s.kindMass(KindEmpty)
 
-	// E[y]: y = level − x for every state.
+	// E[y]: y = level − x − x2 for every state.
 	s.QLenFG = s.maskedMass(all, func(b block, level, _ int) float64 {
-		return float64(level - b.x)
+		return float64(level - b.x - b.x2)
 	})
 	// E[x].
 	s.QLenBG = s.maskedMass(all, func(b block, level, _ int) float64 {
@@ -202,57 +221,59 @@ func (s *Solution) computeMetrics() {
 	// the util threshold), so CompBG is one minus the completion-rate-
 	// weighted denial probability among FG-serving states. For exponential
 	// service under AdmitAll this reduces to 1 − P(x=X | FG serving).
-	// Modulated blocks (x ≥ 1) complete at φ·t_s, so their exit rates carry
-	// the φ factor; with φ = 1 the unweighted fast path keeps the baseline
-	// metric bit-identical.
+	// Modulated blocks (x + x2 ≥ 1) complete at φ·t_s, so their exit rates
+	// carry the φ factor; with φ = 1 the unweighted fast path keeps the
+	// baseline metric bit-identical.
 	exits := m.exitVec
 	exitWeight := func(_ block, _ int, ph int) float64 { return exits[ph] }
 	if phi := cfg.ModFactor; phi != 1 {
 		exitWeight = func(b block, _ int, ph int) float64 {
-			if b.x >= 1 {
+			if b.x+b.x2 >= 1 {
 				return phi * exits[ph]
 			}
 			return exits[ph]
 		}
 	}
 	complFG := s.maskedMass(func(b block, _ int) bool { return b.kind == KindFG }, exitWeight)
-	var complFGDenied float64
-	if cfg.BGProb > 0 {
-		complFGDenied = s.maskedMass(
+	// denied returns the completion-rate-weighted mass of FG-serving states
+	// whose generated job of the given class would be dropped, and the
+	// class's completion rate.
+	denied := func(prob float64, class2 bool) (mass, comp float64) {
+		if prob == 0 {
+			return 0, 1
+		}
+		mass = s.maskedMass(
 			func(b block, level int) bool {
-				return b.kind == KindFG && !m.admitBG(b.x, level-b.x-1)
+				return b.kind == KindFG && !m.admitBG(b, level-b.x-b.x2-1, class2)
 			},
 			exitWeight,
 		)
+		if complFG <= 0 {
+			return mass, 1
+		}
+		return mass, 1 - mass/complFG
 	}
-	switch {
-	case cfg.BGProb == 0 || complFG <= 0:
-		s.CompBG = 1
-	default:
-		s.CompBG = 1 - complFGDenied/complFG
-	}
+	var complFGDenied float64
+	complFGDenied, s.CompBG = denied(cfg.BGProb, false)
 
 	// Fraction of FG arrivals that land during a BG service. MAP arrivals
 	// occur at per-phase rate D1 row sums, so arrival-weighted masses are
 	// the correct observer distribution.
 	rates := m.rateVec
-	arrivalWeighted := func(k Kind) float64 {
-		return s.maskedMass(
-			func(b block, _ int) bool { return b.kind == k },
-			func(_ block, _ int, ph int) float64 { return rates[ph] },
-		)
-	}
-	lambdaEff := s.maskedMass(all, func(_ block, _ int, ph int) float64 { return rates[ph] })
+	arrivalWeight := func(_ block, _ int, ph int) float64 { return rates[ph] }
+	lambdaEff := s.maskedMass(all, arrivalWeight)
 	if lambdaEff > 0 {
-		s.WaitPFG = arrivalWeighted(KindBG) / lambdaEff
+		delayed := s.maskedMass(
+			func(b block, _ int) bool { return b.kind == KindBG || b.kind == KindBG2 },
+			arrivalWeight,
+		)
+		s.WaitPFG = delayed / lambdaEff
 	}
 
 	s.ThroughputFG = complFG
 	s.ThroughputBG = s.maskedMass(func(b block, _ int) bool { return b.kind == KindBG }, exitWeight)
 	s.GenRateBG = cfg.BGProb * complFG
-	if cfg.BGProb > 0 {
-		s.DropRateBG = cfg.BGProb * complFGDenied
-	}
+	s.DropRateBG = cfg.BGProb * complFGDenied
 	// Little's law against the solved effective throughput, not the nominal
 	// arrival rate: the two agree only up to solver round-off, and using the
 	// nominal rate leaves RespTimeFG·ThroughputFG ≠ QLenFG by that error.
@@ -276,6 +297,21 @@ func (s *Solution) computeMetrics() {
 		})
 		s.DeadlineMissBG = cfg.DeadlineRate * waiting / admitted
 	}
+	if cfg.BG2Prob > 0 {
+		c := &ClassMetrics{
+			QLen:       s.maskedMass(all, func(b block, _, _ int) float64 { return float64(b.x2) }),
+			Util:       s.kindMass(KindBG2),
+			Throughput: s.maskedMass(func(b block, _ int) bool { return b.kind == KindBG2 }, exitWeight),
+			GenRate:    cfg.BG2Prob * complFG,
+		}
+		var drop float64
+		drop, c.Comp = denied(cfg.BG2Prob, true)
+		c.DropRate = cfg.BG2Prob * drop
+		if admitted := c.GenRate - c.DropRate; admitted > 0 {
+			c.RespTime = c.QLen / admitted
+		}
+		s.BG2 = c
+	}
 }
 
 // FGQueueMoment2 returns E[y²], the second moment of the foreground
@@ -284,7 +320,7 @@ func (s *Solution) FGQueueMoment2() float64 {
 	return s.maskedMass(
 		func(block, int) bool { return true },
 		func(b block, level, _ int) float64 {
-			y := float64(level - b.x)
+			y := float64(level - b.x - b.x2)
 			return y * y
 		},
 	)
@@ -330,7 +366,7 @@ func (s *Solution) FGQueueDist(maxN int) []float64 {
 	for j := 0; j <= m.boundaryTop; j++ {
 		pi := s.sol.BoundaryPi[j]
 		for bi, b := range m.levelBlocks(j) {
-			y := j - b.x
+			y := j - b.x - b.x2
 			if y > maxN {
 				continue
 			}
@@ -344,12 +380,12 @@ func (s *Solution) FGQueueDist(maxN int) []float64 {
 	// R.Transpose() is gone entirely). FGQueueQuantile calls this in a
 	// doubling loop, so the walk must not allocate per level.
 	first := s.sol.FirstRepLevel()
-	maxLevel := first + maxN + m.xEff
+	maxLevel := first + maxN + m.xEff + m.x2Eff
 	v := s.sol.LevelPi(first)
 	w := make([]float64, len(v))
 	for level := first; level <= maxLevel; level++ {
 		for bi, b := range s.repBlocks {
-			y := level - b.x
+			y := level - b.x - b.x2
 			if y < 0 || y > maxN {
 				continue
 			}

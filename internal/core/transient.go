@@ -24,8 +24,8 @@ type TransientPoint struct {
 // occupancies reached within the horizon — a safe rule is several times the
 // stationary QLenFG). Times must be nondecreasing.
 func (m *Model) Transient(maxLevel int, times []float64) ([]TransientPoint, error) {
-	if maxLevel < m.xEff+2 {
-		return nil, fmt.Errorf("%w: truncation level %d below boundary %d", ErrConfig, maxLevel, m.xEff+2)
+	if top := m.xEff + m.x2Eff + 2; maxLevel < top {
+		return nil, fmt.Errorf("%w: truncation level %d below boundary %d", ErrConfig, maxLevel, top)
 	}
 	g := m.Generator(maxLevel)
 	// Initial vector: empty system, time-stationary arrival phase, service
@@ -51,7 +51,7 @@ func (m *Model) Transient(maxLevel int, times []float64) ([]TransientPoint, erro
 					mass += dist[idx]
 					idx++
 				}
-				pt.QLenFG += float64(j-b.x) * mass
+				pt.QLenFG += float64(j-b.x-b.x2) * mass
 				pt.QLenBG += float64(b.x) * mass
 				switch b.kind {
 				case KindFG:

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"bgperf/internal/multiclass"
+	"bgperf/internal/core"
 	"bgperf/internal/par"
 	"bgperf/internal/workload"
 )
@@ -48,12 +48,12 @@ func Extension(workers int) (Result, error) {
 		if err != nil {
 			return err
 		}
-		model, err := multiclass.NewModel(multiclass.Config{
+		model, err := core.NewModel(core.Config{
 			Arrival:     scaled,
 			ServiceRate: workload.ServiceRatePerMs,
-			BG1Prob:     sp.p1,
+			BGProb:      sp.p1,
 			BG2Prob:     sp.p2,
-			BG1Buffer:   5,
+			BGBuffer:    5,
 			BG2Buffer:   5,
 			IdleRate:    workload.ServiceRatePerMs,
 		})
@@ -66,8 +66,8 @@ func Extension(workers int) (Result, error) {
 		}
 		tbl.Rows[i] = []string{
 			fmt.Sprintf("%.2f", util), sp.name,
-			fmtG(sol.CompBG1), fmtG(sol.CompBG2),
-			fmtG(sol.QLenBG1), fmtG(sol.QLenBG2),
+			fmtG(sol.CompBG), fmtG(sol.BG2.Comp),
+			fmtG(sol.QLenBG), fmtG(sol.BG2.QLen),
 			fmtG(sol.QLenFG), fmtG(sol.WaitPFG),
 		}
 		return nil

@@ -3,7 +3,7 @@
 // iteration, boundary solve, metric extraction), the event simulator, the
 // MAP fitting pipeline, and the mat.Workspace buffer pools.
 //
-// The design contract is that every producer (qbd, core, multiclass, sim,
+// The design contract is that every producer (qbd, core, sim,
 // par, mat) carries an optional Observer and guards each report with a nil
 // check, so the unobserved fast path performs no timing calls and no heap
 // allocations — pinned by AllocsPerRun regression tests. When an Observer is

@@ -43,6 +43,8 @@ func allocGateConfigs(t *testing.T) map[string]Config {
 		"exp":         {Arrival: m, ServiceRate: 1, BGProb: 0.6, BGBuffer: 4, IdleRate: 1, Seed: 5},
 		"ph-service":  {Arrival: m, Service: ph, BGProb: 0.4, BGBuffer: 3, IdleRate: 2, Seed: 5},
 		"map-service": {Arrival: m, ServiceMAP: svcMAP, BGProb: 0.5, BGBuffer: 2, IdleRate: 1, Seed: 5},
+		"two-class": {Arrival: m, ServiceRate: 1, BGProb: 0.3, BG2Prob: 0.3, BGBuffer: 3, BG2Buffer: 4,
+			IdleRate: 1, Seed: 5},
 	}
 }
 
@@ -70,36 +72,5 @@ func TestAllocsSteadyStateRun(t *testing.T) {
 				t.Errorf("per-run setup allocations %.0f exceed budget %d", short, allocBudget)
 			}
 		})
-	}
-}
-
-func TestAllocsSteadyStateRunMulti(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("allocation counts are perturbed under the race detector")
-	}
-	m, err := arrival.MMPP2(0.02, 0.05, 0.9, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := MultiConfig{
-		Arrival: m, ServiceRate: 1, BG1Prob: 0.3, BG2Prob: 0.3,
-		BG1Buffer: 3, BG2Buffer: 4, IdleRate: 1, Seed: 5,
-	}
-	measure := func(horizon float64) float64 {
-		c := cfg
-		c.WarmupTime, c.MeasureTime = 500, horizon
-		return testing.AllocsPerRun(5, func() {
-			if _, err := RunMulti(c); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	short := measure(20000)
-	long := measure(80000)
-	if short != long {
-		t.Errorf("multiclass allocations grow with the horizon: %.0f at T, %.0f at 4T", short, long)
-	}
-	if short > allocBudget {
-		t.Errorf("multiclass per-run setup allocations %.0f exceed budget %d", short, allocBudget)
 	}
 }

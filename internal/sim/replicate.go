@@ -137,6 +137,19 @@ func addMetrics(dst *core.Metrics, src core.Metrics) {
 	dst.RespTimeFG += src.RespTimeFG
 	dst.RespTimeBG += src.RespTimeBG
 	dst.DeadlineMissBG += src.DeadlineMissBG
+	if src.BG2 != nil {
+		if dst.BG2 == nil {
+			dst.BG2 = &core.ClassMetrics{}
+		}
+		c, s := dst.BG2, src.BG2
+		c.QLen += s.QLen
+		c.Comp += s.Comp
+		c.Util += s.Util
+		c.Throughput += s.Throughput
+		c.GenRate += s.GenRate
+		c.DropRate += s.DropRate
+		c.RespTime += s.RespTime
+	}
 }
 
 // scaleMetrics multiplies every field of m by c.
@@ -156,6 +169,15 @@ func scaleMetrics(m *core.Metrics, c float64) {
 	m.RespTimeFG *= c
 	m.RespTimeBG *= c
 	m.DeadlineMissBG *= c
+	if b := m.BG2; b != nil {
+		b.QLen *= c
+		b.Comp *= c
+		b.Util *= c
+		b.Throughput *= c
+		b.GenRate *= c
+		b.DropRate *= c
+		b.RespTime *= c
+	}
 }
 
 // t95 holds two-sided 95% Student-t critical values for 1..30 degrees of

@@ -58,28 +58,6 @@ func TestStreamSeedsPairwiseDistinct(t *testing.T) {
 	}
 }
 
-// TestStreamSeedsDistinctFromMulti pins the domain separation between the
-// single-class and two-priority simulators: RunMulti at a seed must not
-// share stream seeds with Run at the same seed (the two are cross-checked
-// against each other at equal seeds).
-func TestStreamSeedsDistinctFromMulti(t *testing.T) {
-	for _, seed := range []int64{0, 1, 99, -17} {
-		single := streamSeedsFor(seed)
-		s := newSeedStream(seed)
-		for i := 0; i < 3; i++ {
-			s.next()
-		}
-		multi := [2]int64{s.next(), s.next()}
-		for _, a := range single {
-			for _, b := range multi {
-				if a == b {
-					t.Fatalf("seed %d: single-class and multiclass simulators share stream seed %d", seed, a)
-				}
-			}
-		}
-	}
-}
-
 // TestRunReplicationZeroMatchesRun pins the documented seed mapping after
 // the SplitMix64 change: replication 0 of RunReplications still reproduces
 // Run(cfg) bit for bit, and replication r reproduces Run at Seed + r.

@@ -83,6 +83,12 @@ type Config struct {
 	BGProb float64
 	// BGBuffer is the BG buffer capacity X.
 	BGBuffer int
+	// BG2Prob and BG2Buffer describe a second, low-priority BG class,
+	// mirroring core.Config.BG2Prob and core.Config.BG2Buffer: BGProb and
+	// BGBuffer then describe class 1, which the server picks first whenever
+	// it starts a BG service.
+	BG2Prob   float64
+	BG2Buffer int
 	// IdleRate is the idle-wait rate α (mean wait 1/α). Leave it 0 when
 	// IdleWait is set.
 	IdleRate float64
@@ -154,11 +160,17 @@ func (c Config) validate() error {
 		return core.NewValidationError(ErrConfig, "BGProb", "BG probability %g outside [0,1]", c.BGProb)
 	case c.BGBuffer < 0:
 		return core.NewValidationError(ErrConfig, "BGBuffer", "negative BG buffer")
+	case c.BG2Prob < 0 || c.BG2Prob > 1:
+		return core.NewValidationError(ErrConfig, "BG2Prob", "class-2 BG probability %g outside [0,1]", c.BG2Prob)
+	case c.BGProb+c.BG2Prob > 1:
+		return core.NewValidationError(ErrConfig, "BG2Prob", "BG probabilities %g + %g exceed 1", c.BGProb, c.BG2Prob)
+	case c.BG2Buffer < 0:
+		return core.NewValidationError(ErrConfig, "BG2Buffer", "negative class-2 BG buffer")
 	case c.IdleWait != nil && c.IdleRate != 0:
 		return core.NewValidationError(ErrConfig, "IdleWait", "set either IdleRate or IdleWait, not both")
 	case c.IdleWait != nil && c.IdleDist == IdleDeterministic:
 		return core.NewValidationError(ErrConfig, "IdleDist", "IdleWait and IdleDeterministic are incompatible")
-	case c.BGBuffer > 0 && c.IdleRate <= 0 && c.IdleWait == nil:
+	case (c.BGBuffer > 0 || c.BG2Buffer > 0) && c.IdleRate <= 0 && c.IdleWait == nil:
 		return core.NewValidationError(ErrConfig, "IdleRate", "idle rate %g must be positive with a BG buffer", c.IdleRate)
 	case !(c.ModFactor > 0 && c.ModFactor <= 1):
 		return core.NewValidationError(ErrConfig, "ModFactor", "modulation factor %g must lie in (0,1]", c.ModFactor)
@@ -172,6 +184,8 @@ func (c Config) validate() error {
 		return core.NewValidationError(ErrConfig, "DeadlineRate", "deadline rate %g must be positive with the deadline admission policy", c.DeadlineRate)
 	case c.BGAdmit != core.AdmitDeadline && c.DeadlineRate != 0:
 		return core.NewValidationError(ErrConfig, "DeadlineRate", "deadline rate requires the deadline admission policy")
+	case c.BG2Prob > 0 && c.BGAdmit != core.AdmitAll:
+		return core.NewValidationError(ErrConfig, "BG2Prob", "a second BG class is not supported with the %v admission policy", c.BGAdmit)
 	case c.MeasureTime <= 0:
 		return core.NewValidationError(ErrConfig, "MeasureTime", "measurement window %g must be positive", c.MeasureTime)
 	case c.WarmupTime < 0:
@@ -182,11 +196,12 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Counters are raw event counts over the measurement window.
+// Counters are raw event counts over the measurement window. The BG counts
+// are class 1's; the BG2 ones stay zero unless Config.BG2Prob > 0.
 type Counters struct {
 	ArrivalsFG      int64
 	CompletedFG     int64
-	DelayedFG       int64 // FG arrivals that found a BG job in service
+	DelayedFG       int64 // FG arrivals that found a BG job (either class) in service
 	GeneratedBG     int64
 	AdmittedBG      int64
 	DroppedBG       int64
@@ -194,6 +209,8 @@ type Counters struct {
 	IdleExpirations int64 // idle-wait timers that expired and started BG service
 	RenegedBG       int64 // admitted BG jobs whose deadline expired while waiting
 	Events          int64 // total events processed inside the window
+
+	GeneratedBG2, AdmittedBG2, DroppedBG2, CompletedBG2 int64
 }
 
 // Result holds the measured steady-state estimates.
@@ -223,6 +240,7 @@ const (
 	stateIdleWait                    // BG pending, idle-wait timer armed
 	stateServingFG
 	stateServingBG
+	stateServingBG2 // a class-2 BG job in service
 )
 
 const inf = math.MaxFloat64
@@ -276,6 +294,8 @@ type runState struct {
 	perPeriod  bool
 	bgProb     float64
 	bgBuffer   int
+	bg2Prob    float64 // class-2 spawn probability (0: single-class model)
+	bg2Buffer  int
 	// Capacity modulation and smart admission (mirroring core). modFactor 1
 	// keeps every hot-path branch below untaken, so the baseline event
 	// stream is bit-identical to the pre-modulation simulator.
@@ -293,7 +313,8 @@ type runState struct {
 	nextRenege float64
 	state      serverState
 	fgQueue    int // waiting FG jobs (excluding in service)
-	bgQueue    int // waiting BG jobs (excluding in service)
+	bgQueue    int // waiting class-1 BG jobs (excluding in service)
+	bg2Queue   int // waiting class-2 BG jobs (excluding in service)
 	fgTimes    fifo
 
 	// Measurement window and accumulators.
@@ -301,8 +322,10 @@ type runState struct {
 	measEnd   float64
 	fgArea    float64 // ∫ FG-in-system dt
 	bgArea    float64 // ∫ BG-in-system dt
+	bg2Area   float64 // ∫ class-2-BG-in-system dt
 	utilFG    float64
 	utilBG    float64
+	utilBG2   float64
 	idleW     float64
 	emptyT    float64
 	respSum   float64
@@ -339,6 +362,8 @@ func (rs *runState) setup(cfg Config) {
 	rs.perPeriod = cfg.IdlePolicy == core.IdleWaitPerPeriod
 	rs.bgProb = cfg.BGProb
 	rs.bgBuffer = cfg.BGBuffer
+	rs.bg2Prob = cfg.BG2Prob
+	rs.bg2Buffer = cfg.BG2Buffer
 	rs.modFactor = cfg.ModFactor
 	rs.modInv = 1 / cfg.ModFactor
 	rs.admitUtil = cfg.BGAdmit == core.AdmitUtilThreshold
@@ -414,7 +439,7 @@ func (rs *runState) accumulate(next float64) {
 		return
 	}
 	span := hi - lo
-	nf, nb := float64(rs.fgQueue), float64(rs.bgQueue)
+	nf, nb, n2 := float64(rs.fgQueue), float64(rs.bgQueue), float64(rs.bg2Queue)
 	switch rs.state {
 	case stateServingFG:
 		nf++
@@ -422,6 +447,9 @@ func (rs *runState) accumulate(next float64) {
 	case stateServingBG:
 		nb++
 		rs.utilBG += span
+	case stateServingBG2:
+		n2++
+		rs.utilBG2 += span
 	case stateIdleWait:
 		rs.idleW += span
 	default:
@@ -429,6 +457,7 @@ func (rs *runState) accumulate(next float64) {
 	}
 	rs.fgArea += nf * span
 	rs.bgArea += nb * span
+	rs.bg2Area += n2 * span
 	// Batch attribution: the cursor only moves forward because simulated
 	// time is monotone, so each call either lands in the current batch
 	// (fast path) or walks the cursor across whole batch segments.
@@ -452,19 +481,25 @@ func (rs *runState) startFG() {
 	rs.fgQueue--
 	rs.state = stateServingFG
 	d := rs.drawService()
-	if rs.modFactor != 1 && rs.bgQueue > 0 {
+	if rs.modFactor != 1 && rs.bgWaiting() {
 		d *= rs.modInv
 	}
 	rs.serviceEnd = rs.now + d
 	rs.idleExpiry = inf
 }
 
-// startBG begins a background service; the job itself keeps the system
+// startBG begins a background service, picking a class-1 job whenever one
+// is waiting and a class-2 job otherwise. The job itself keeps the system
 // modulated (x ≥ 1) for the full draw, and reneges only shrink the waiting
 // pool, so no rescale case exists here.
 func (rs *runState) startBG() {
-	rs.bgQueue--
-	rs.state = stateServingBG
+	if rs.bgQueue > 0 {
+		rs.bgQueue--
+		rs.state = stateServingBG
+	} else {
+		rs.bg2Queue--
+		rs.state = stateServingBG2
+	}
 	d := rs.drawService()
 	if rs.modFactor != 1 {
 		d *= rs.modInv
@@ -490,9 +525,12 @@ func (rs *runState) rearmRenege() {
 	}
 }
 
+// bgWaiting reports whether any BG job of either class is waiting.
+func (rs *runState) bgWaiting() bool { return rs.bgQueue > 0 || rs.bg2Queue > 0 }
+
 func (rs *runState) armIdleOrRest() {
 	rs.serviceEnd = inf
-	if rs.bgQueue > 0 {
+	if rs.bgWaiting() {
 		rs.state = stateIdleWait
 		rs.idleExpiry = rs.now + rs.idleWait()
 	} else {
@@ -549,7 +587,7 @@ func RunOpts(ctx context.Context, cfg Config, o obs.Observer) (*Result, error) {
 			// Foreground arrival.
 			if in {
 				rs.counters.ArrivalsFG++
-				if rs.state == stateServingBG {
+				if rs.state == stateServingBG || rs.state == stateServingBG2 {
 					rs.counters.DelayedFG++
 				}
 			}
@@ -577,7 +615,9 @@ func RunOpts(ctx context.Context, cfg Config, o obs.Observer) (*Result, error) {
 						rs.p99.add(resp)
 					}
 				}
-				if rs.rng.Float64() < rs.bgProb {
+				// One coin picks the spawned job's class: u < p for class
+				// 1, p ≤ u < p+p2 for class 2 (never when p2 = 0).
+				if u := rs.rng.Float64(); u < rs.bgProb {
 					if in {
 						rs.counters.GeneratedBG++
 					}
@@ -594,19 +634,35 @@ func RunOpts(ctx context.Context, cfg Config, o obs.Observer) (*Result, error) {
 					} else if in {
 						rs.counters.DroppedBG++
 					}
+				} else if u < rs.bgProb+rs.bg2Prob {
+					if in {
+						rs.counters.GeneratedBG2++
+					}
+					if rs.bg2Queue < rs.bg2Buffer {
+						rs.bg2Queue++
+						if in {
+							rs.counters.AdmittedBG2++
+						}
+					} else if in {
+						rs.counters.DroppedBG2++
+					}
 				}
 				if rs.fgQueue > 0 {
 					rs.startFG()
 				} else {
 					rs.armIdleOrRest()
 				}
-			case stateServingBG:
+			case stateServingBG, stateServingBG2:
 				if in {
-					rs.counters.CompletedBG++
+					if rs.state == stateServingBG {
+						rs.counters.CompletedBG++
+					} else {
+						rs.counters.CompletedBG2++
+					}
 				}
 				if rs.fgQueue > 0 {
 					rs.startFG()
-				} else if rs.bgQueue > 0 && rs.perPeriod {
+				} else if rs.perPeriod && rs.bgWaiting() {
 					rs.startBG()
 				} else {
 					rs.armIdleOrRest()
@@ -641,8 +697,8 @@ func RunOpts(ctx context.Context, cfg Config, o obs.Observer) (*Result, error) {
 			}
 
 		default: // idle-wait expiry
-			if rs.state != stateIdleWait || rs.bgQueue == 0 {
-				return nil, fmt.Errorf("sim: idle expiry in state %d with %d BG", rs.state, rs.bgQueue)
+			if rs.state != stateIdleWait || !rs.bgWaiting() {
+				return nil, fmt.Errorf("sim: idle expiry in state %d with %d+%d BG", rs.state, rs.bgQueue, rs.bg2Queue)
 			}
 			if in {
 				rs.counters.IdleExpirations++
@@ -682,6 +738,23 @@ func RunOpts(ctx context.Context, cfg Config, o obs.Observer) (*Result, error) {
 		// Little's law over the BG population: mean sojourn of admitted jobs.
 		m.RespTimeBG = rs.bgArea / float64(res.Counters.AdmittedBG)
 		m.DeadlineMissBG = float64(res.Counters.RenegedBG) / float64(res.Counters.AdmittedBG)
+	}
+	if cfg.BG2Prob > 0 {
+		c := res.Counters
+		m.BG2 = &core.ClassMetrics{
+			QLen:       rs.bg2Area / t,
+			Comp:       1,
+			Util:       rs.utilBG2 / t,
+			Throughput: float64(c.CompletedBG2) / t,
+			GenRate:    float64(c.GeneratedBG2) / t,
+			DropRate:   float64(c.DroppedBG2) / t,
+		}
+		if c.GeneratedBG2 > 0 {
+			m.BG2.Comp = float64(c.AdmittedBG2) / float64(c.GeneratedBG2)
+		}
+		if c.AdmittedBG2 > 0 {
+			m.BG2.RespTime = rs.bg2Area / float64(c.AdmittedBG2)
+		}
 	}
 
 	res.QLenFGHalf = batchHalfWidth(rs.batchFG, rs.batchLen)

@@ -37,6 +37,10 @@ func addCounters(a, b Counters) Counters {
 	a.IdleExpirations += b.IdleExpirations
 	a.RenegedBG += b.RenegedBG
 	a.Events += b.Events
+	a.GeneratedBG2 += b.GeneratedBG2
+	a.AdmittedBG2 += b.AdmittedBG2
+	a.DroppedBG2 += b.DroppedBG2
+	a.CompletedBG2 += b.CompletedBG2
 	return a
 }
 
@@ -80,6 +84,7 @@ func TestWarmupWindowAdditivity(t *testing.T) {
 			ModFactor: 0.7, BGAdmit: core.AdmitDeadline, DeadlineRate: 0.5}},
 		{"modulated-util-per-period", Config{Arrival: m, ServiceRate: 1, BGProb: 0.6, BGBuffer: 4, IdleRate: 1,
 			ModFactor: 0.8, BGAdmit: core.AdmitUtilThreshold, FGThreshold: 1, IdlePolicy: core.IdleWaitPerPeriod}},
+		{"two-class", Config{Arrival: m, ServiceRate: 1, BGProb: 0.3, BG2Prob: 0.4, BGBuffer: 3, BG2Buffer: 4, IdleRate: 1}},
 	}
 	// Non-round window edges so batch boundaries and event times never
 	// align by construction.
@@ -109,16 +114,22 @@ func TestWarmupWindowAdditivity(t *testing.T) {
 					t.Errorf("seed %d: counters do not partition at the warm-up boundary:\n  [0,W)+[W,W+T) = %+v\n  [0,W+T)       = %+v",
 						seed, sum, rFull.Counters)
 				}
-				areas := []struct {
+				type area struct {
 					name             string
 					head, mid, whole float64
-				}{
+				}
+				areas := []area{
 					{"QLenFG", rHead.Metrics.QLenFG, rMid.Metrics.QLenFG, rFull.Metrics.QLenFG},
 					{"QLenBG", rHead.Metrics.QLenBG, rMid.Metrics.QLenBG, rFull.Metrics.QLenBG},
 					{"UtilFG", rHead.Metrics.UtilFG, rMid.Metrics.UtilFG, rFull.Metrics.UtilFG},
 					{"UtilBG", rHead.Metrics.UtilBG, rMid.Metrics.UtilBG, rFull.Metrics.UtilBG},
 					{"ProbIdleWait", rHead.Metrics.ProbIdleWait, rMid.Metrics.ProbIdleWait, rFull.Metrics.ProbIdleWait},
 					{"ProbEmpty", rHead.Metrics.ProbEmpty, rMid.Metrics.ProbEmpty, rFull.Metrics.ProbEmpty},
+				}
+				if rFull.Metrics.BG2 != nil {
+					areas = append(areas,
+						area{"QLenBG2", rHead.Metrics.BG2.QLen, rMid.Metrics.BG2.QLen, rFull.Metrics.BG2.QLen},
+						area{"UtilBG2", rHead.Metrics.BG2.Util, rMid.Metrics.BG2.Util, rFull.Metrics.BG2.Util})
 				}
 				for _, a := range areas {
 					if d := math.Abs(a.head*W+a.mid*T-a.whole*(W+T)) / (W + T); d > 1e-9 {
@@ -127,61 +138,6 @@ func TestWarmupWindowAdditivity(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestWarmupWindowAdditivityMulti is the same partition check for the
-// two-priority simulator.
-func TestWarmupWindowAdditivityMulti(t *testing.T) {
-	m, err := arrival.MMPP2(0.02, 0.05, 0.9, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := MultiConfig{Arrival: m, ServiceRate: 1, BG1Prob: 0.3, BG2Prob: 0.4,
-		BG1Buffer: 3, BG2Buffer: 4, IdleRate: 1}
-	const W, T = 3333.3, 7777.7
-	for seed := int64(1); seed <= 5; seed++ {
-		base.Seed = seed
-		head, mid, full := base, base, base
-		head.WarmupTime, head.MeasureTime = 0, W
-		mid.WarmupTime, mid.MeasureTime = W, T
-		full.WarmupTime, full.MeasureTime = 0, W+T
-		rHead, err := RunMulti(head)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rMid, err := RunMulti(mid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rFull, err := RunMulti(full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := rHead.Counters
-		sum.ArrivalsFG += rMid.Counters.ArrivalsFG
-		sum.CompletedFG += rMid.Counters.CompletedFG
-		sum.DelayedFG += rMid.Counters.DelayedFG
-		sum.GeneratedBG1 += rMid.Counters.GeneratedBG1
-		sum.GeneratedBG2 += rMid.Counters.GeneratedBG2
-		sum.DroppedBG1 += rMid.Counters.DroppedBG1
-		sum.DroppedBG2 += rMid.Counters.DroppedBG2
-		sum.CompletedBG1 += rMid.Counters.CompletedBG1
-		sum.CompletedBG2 += rMid.Counters.CompletedBG2
-		sum.Events += rMid.Counters.Events
-		if sum != rFull.Counters {
-			t.Errorf("seed %d: multiclass counters do not partition at the warm-up boundary:\n  sum  %+v\n  full %+v",
-				seed, sum, rFull.Counters)
-		}
-		for _, a := range [][3]float64{
-			{rHead.QLenFG, rMid.QLenFG, rFull.QLenFG},
-			{rHead.QLenBG1, rMid.QLenBG1, rFull.QLenBG1},
-			{rHead.QLenBG2, rMid.QLenBG2, rFull.QLenBG2},
-		} {
-			if d := math.Abs(a[0]*W+a[1]*T-a[2]*(W+T)) / (W + T); d > 1e-9 {
-				t.Errorf("seed %d: multiclass area leaks %g across the warm-up boundary", seed, d)
-			}
-		}
 	}
 }
 

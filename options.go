@@ -12,7 +12,7 @@ import (
 )
 
 // Option configures a single call to one of the package entry points
-// (Solve, NewModel, Simulate, SimulateReplications, SolveMulti, FitMMPP2).
+// (Solve, NewModel, Simulate, SimulateReplications, FitMMPP2).
 // Options compose left to right; zero options reproduce the uninstrumented
 // default behavior exactly. Options irrelevant to a particular entry point
 // (WithReplications on Solve, say) are accepted and ignored, so one option
@@ -75,7 +75,7 @@ func WithContext(ctx context.Context) Option {
 
 // WithWorkers bounds the goroutine pool of parallel operations to n workers:
 // the replication sweep of SimulateReplications, and the block-row-banded
-// matrix multiplies inside the analytic solves (Solve, NewModel, SolveMulti).
+// matrix multiplies inside the analytic solves (Solve, NewModel).
 // n <= 0 means all cores for simulation and serial multiplies for the
 // analytic path. Results are bit-identical for every worker count.
 func WithWorkers(n int) Option {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"bgperf/internal/arrival"
 	"bgperf/internal/mat"
 )
 
@@ -15,9 +16,29 @@ import (
 // boundary Up/Down/Local plus RepDown), multiplying by a dense matrix through
 // the CSR paths must reproduce the dense MulInto bits exactly, on both sides.
 // This is the contract that lets the solver swap in sparse kernels purely as
-// a wall-clock decision.
+// a wall-clock decision. The two-class case covers the extra class-2 blocks
+// (a second BG-serving block per level, one admission branch per class).
 func TestBuilderBlockMulBitIdentical(t *testing.T) {
-	cfg := mmppCfg(t, 0.4, 1, 0.3, 4, 0.8)
+	twoClassArrival, err := arrival.MMPP2(0.3, 0.1, 2.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twoClassArrival, err = twoClassArrival.WithRate(0.4); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"mmpp", mmppCfg(t, 0.4, 1, 0.3, 4, 0.8)},
+		{"two-class", twoClassCfg(t, twoClassArrival, 1, 0.2, 0.3, 3, 2, 0.7)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkBlockMulBitIdentical(t, tc.cfg) })
+	}
+}
+
+func checkBlockMulBitIdentical(t *testing.T, cfg Config) {
+	t.Helper()
 	m, err := NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)

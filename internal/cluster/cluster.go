@@ -12,24 +12,23 @@ import (
 	"time"
 )
 
-// Forwarding and membership defaults; see Config.
+// Membership and forwarding defaults; see Config.
 const (
 	// DefaultHealthInterval is the period between /healthz probes per peer.
 	DefaultHealthInterval = 2 * time.Second
 	// DefaultHealthTimeout bounds one health probe.
 	DefaultHealthTimeout = 1 * time.Second
-	// DefaultForwardRetries is how many times a forward is retried (after
-	// the first attempt) before the caller falls back to a local solve.
-	DefaultForwardRetries = 1
-	// DefaultRetryBackoff is the pause between forward retries.
-	DefaultRetryBackoff = 50 * time.Millisecond
+	// clientTimeout bounds one HTTP round trip (forward or probe) even when
+	// the caller's context carries no deadline.
+	clientTimeout = 30 * time.Second
 	// maxForwardBody bounds a forwarded response body read from a peer.
 	maxForwardBody = 8 << 20
 )
 
-// ErrPeerUnavailable is returned by Forward when the target peer is
-// refusing calls (breaker open) or every attempt failed; the caller should
-// degrade to answering locally.
+// ErrPeerUnavailable is returned by Forward when the target peer gave no
+// answer for the point: a transport failure, or a 503 because it is
+// draining or shedding load. The peer is then marked down until its next
+// passing health probe, and the caller should answer locally.
 var ErrPeerUnavailable = errors.New("cluster: peer unavailable")
 
 // Config configures a Cluster. Self and Peers are required.
@@ -41,22 +40,10 @@ type Config struct {
 	// including Self. All peers must share the same list (order-insensitive)
 	// or they will compute different rings.
 	Peers []string
-	// VirtualNodes is the ring's virtual-node count per peer; <= 0 means
-	// DefaultVirtualNodes.
-	VirtualNodes int
 	// HealthInterval is the membership probe period; 0 means
-	// DefaultHealthInterval, negative disables background probing (peers
-	// stay up unless the breaker trips — used by tests).
+	// DefaultHealthInterval, negative disables background probing (a peer
+	// marked down then stays down until CheckHealth runs — used by tests).
 	HealthInterval time.Duration
-	// Client is the HTTP client for forwards and probes; nil means a
-	// dedicated client with sane timeouts.
-	Client *http.Client
-}
-
-// peerState is the live view of one remote peer.
-type peerState struct {
-	up      bool
-	breaker *Breaker
 }
 
 // PeerStatus is one row of the membership snapshot served at /clusterz.
@@ -65,43 +52,50 @@ type PeerStatus struct {
 	Addr string `json:"addr"`
 	// Self marks this process's own row.
 	Self bool `json:"self,omitempty"`
-	// Up reports the last health-probe verdict (always true for Self).
+	// Up reports whether the peer receives forwards: false after a failed
+	// health probe or a forward that got no answer, true again after the
+	// next passing probe (always true for Self).
 	Up bool `json:"up"`
-	// BreakerOpen reports that the peer's circuit breaker is refusing
-	// forwards right now.
-	BreakerOpen bool `json:"breakerOpen,omitempty"`
 }
 
 // Cluster is the membership + routing half of cluster mode: it owns the
-// ring, the per-peer health state and breakers, and the forwarding client.
-// Create one with New, start probing with Start, and stop it with Close.
+// ring, the per-peer up/down state, the health prober, and the forwarding
+// client. Create one with New and stop its prober with Close.
 type Cluster struct {
 	self   string
 	ring   *Ring
 	client *http.Client
 
-	mu    sync.Mutex
-	state map[string]*peerState
+	mu sync.Mutex
+	up map[string]bool // remote peers only
 
-	interval time.Duration
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
-// New validates cfg and builds the cluster routing state. Peers start out
-// optimistically up; the first health sweep corrects that within one
-// interval, and the breaker contains the damage meanwhile.
+// New validates cfg, builds the cluster routing state, and starts the
+// background health prober unless cfg.HealthInterval is negative. Peers
+// start out optimistically up; the first probe or failed forward corrects
+// that.
 func New(cfg Config) (*Cluster, error) {
-	ring, err := NewRing(cfg.Peers, cfg.VirtualNodes)
+	ring, err := NewRing(cfg.Peers, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
+	}
+	c := &Cluster{
+		self:   cfg.Self,
+		ring:   ring,
+		client: &http.Client{Timeout: clientTimeout},
+		up:     make(map[string]bool),
+		stop:   make(chan struct{}),
 	}
 	found := false
 	for _, p := range ring.Peers() {
 		if p == cfg.Self {
 			found = true
-			break
+		} else {
+			c.up[p] = true
 		}
 	}
 	if !found {
@@ -111,49 +105,26 @@ func New(cfg Config) (*Cluster, error) {
 	if interval == 0 {
 		interval = DefaultHealthInterval
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	c := &Cluster{
-		self:     cfg.Self,
-		ring:     ring,
-		client:   client,
-		state:    make(map[string]*peerState),
-		interval: interval,
-		stop:     make(chan struct{}),
-	}
-	for _, p := range ring.Peers() {
-		if p != cfg.Self {
-			c.state[p] = &peerState{up: true, breaker: NewBreaker()}
-		}
+	if interval > 0 {
+		c.wg.Add(1)
+		go c.probeLoop(interval)
 	}
 	return c, nil
 }
 
-// Self returns this process's advertised address.
-func (c *Cluster) Self() string { return c.self }
-
-// Start launches the background health prober. A negative configured
-// interval disables it (tests drive CheckHealth directly).
-func (c *Cluster) Start() {
-	if c.interval < 0 {
-		return
-	}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		ticker := time.NewTicker(c.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-ticker.C:
-				c.CheckHealth(context.Background())
-			}
+// probeLoop runs CheckHealth every interval until Close.
+func (c *Cluster) probeLoop(interval time.Duration) {
+	defer c.wg.Done()
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		select {
+		case <-c.stop:
+			return
+		case <-ticker.C:
+			c.CheckHealth(context.Background())
 		}
-	}()
+	}
 }
 
 // Close stops the health prober. It never touches in-flight forwards.
@@ -167,17 +138,15 @@ func (c *Cluster) Close() {
 // draining peer's 503) marks it down so the ring routes around it.
 func (c *Cluster) CheckHealth(ctx context.Context) {
 	c.mu.Lock()
-	peers := make([]string, 0, len(c.state))
-	for p := range c.state {
+	peers := make([]string, 0, len(c.up))
+	for p := range c.up {
 		peers = append(peers, p)
 	}
 	c.mu.Unlock()
 	for _, p := range peers {
 		up := c.probe(ctx, p)
 		c.mu.Lock()
-		if st, ok := c.state[p]; ok {
-			st.up = up
-		}
+		c.up[p] = up
 		c.mu.Unlock()
 	}
 }
@@ -199,16 +168,25 @@ func (c *Cluster) probe(ctx context.Context, peer string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// available reports whether peer should receive forwards right now: last
-// probe said up, and its breaker is not refusing calls.
+// available reports whether peer should receive forwards right now.
 func (c *Cluster) available(peer string) bool {
 	if peer == c.self {
 		return true
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok := c.state[peer]
-	return ok && st.up && !st.breaker.Blocked()
+	return c.up[peer]
+}
+
+// MarkDown takes peer out of routing until its next passing health probe.
+// Forward applies it itself; the serving layer also applies it when a
+// peer's answer turns out to be unusable (a body that does not decode).
+func (c *Cluster) MarkDown(peer string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.up[peer]; ok {
+		c.up[peer] = false
+	}
 }
 
 // Owner routes key to its owning available peer. local is true when this
@@ -223,45 +201,31 @@ func (c *Cluster) Owner(key string) (peer string, local bool) {
 	return owner, false
 }
 
-// Forward POSTs body to http://peer+path with the forwarded-marker header
-// set (so the receiver answers locally rather than re-routing), retrying
-// transient failures with backoff, and accounting the outcome on the
-// peer's breaker. It returns the response body and HTTP status. Any HTTP
-// status from the peer — including 4xx/5xx application errors — is a
-// successful forward; only transport failures and breaker refusals return
-// ErrPeerUnavailable.
+// Forward POSTs body to http://peer+path once, with the forwarded-marker
+// header set so the receiver answers locally rather than re-routing. It
+// returns the peer's response body and HTTP status; any status but 503 is
+// the peer's answer for the point, application errors included. A peer
+// that gives no answer (transport failure or 503) is marked down and
+// Forward returns ErrPeerUnavailable. A failure caused by ctx ending is
+// the caller's, not the peer's: it returns ctx's error and marks nothing.
 func (c *Cluster) Forward(ctx context.Context, peer, path string, body []byte) ([]byte, int, error) {
 	c.mu.Lock()
-	st, ok := c.state[peer]
+	_, known := c.up[peer]
 	c.mu.Unlock()
-	if !ok {
+	if !known {
 		return nil, 0, fmt.Errorf("%w: unknown peer %q", ErrPeerUnavailable, peer)
 	}
-	if !st.breaker.Allow() {
-		return nil, 0, fmt.Errorf("%w: circuit breaker open for %s", ErrPeerUnavailable, peer)
+	respBody, status, err := c.post(ctx, peer, path, body)
+	switch {
+	case err != nil && ctx.Err() != nil:
+		return nil, 0, fmt.Errorf("cluster: forward to %s abandoned: %w", peer, ctx.Err())
+	case err == nil && status != http.StatusServiceUnavailable:
+		return respBody, status, nil
+	case err == nil:
+		err = fmt.Errorf("%s answered %d", peer, status)
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		respBody, status, err := c.post(ctx, peer, path, body)
-		if err == nil {
-			st.breaker.Success()
-			return respBody, status, nil
-		}
-		lastErr = err
-		st.breaker.Failure()
-		if attempt >= DefaultForwardRetries || ctx.Err() != nil || !st.breaker.Allow() {
-			break
-		}
-		select {
-		case <-time.After(DefaultRetryBackoff):
-		case <-ctx.Done():
-			return nil, 0, fmt.Errorf("%w: %v", ErrPeerUnavailable, ctx.Err())
-		}
-	}
-	c.mu.Lock()
-	st.up = false // fail fast until the next health sweep proves recovery
-	c.mu.Unlock()
-	return nil, 0, fmt.Errorf("%w: %v", ErrPeerUnavailable, lastErr)
+	c.MarkDown(peer)
+	return nil, 0, fmt.Errorf("%w: %v", ErrPeerUnavailable, err)
 }
 
 // ForwardedHeader marks a request as already routed by a peer; a receiver
@@ -269,7 +233,7 @@ func (c *Cluster) Forward(ctx context.Context, peer, path string, body []byte) (
 // when peers momentarily disagree about liveness.
 const ForwardedHeader = "X-Bgperf-Forwarded"
 
-// post performs one forward attempt.
+// post performs one forward round trip.
 func (c *Cluster) post(ctx context.Context, peer, path string, body []byte) ([]byte, int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+peer+path, bytes.NewReader(body))
 	if err != nil {
@@ -295,14 +259,13 @@ func (c *Cluster) Status() []PeerStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := []PeerStatus{{Addr: c.self, Self: true, Up: true}}
-	peers := make([]string, 0, len(c.state))
-	for p := range c.state {
+	peers := make([]string, 0, len(c.up))
+	for p := range c.up {
 		peers = append(peers, p)
 	}
 	sort.Strings(peers)
 	for _, p := range peers {
-		st := c.state[p]
-		out = append(out, PeerStatus{Addr: p, Up: st.up, BreakerOpen: st.breaker.Blocked()})
+		out = append(out, PeerStatus{Addr: p, Up: c.up[p]})
 	}
 	return out
 }

@@ -3,12 +3,14 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // testPeer is an httptest server acting as a remote bgperfd: healthy (or
@@ -133,40 +135,78 @@ func TestHealthMarksPeerDownAndRecovers(t *testing.T) {
 	}
 }
 
-// TestForwardFailureTripsBreakerAndFallsBack pins the degrade path: a dead
-// peer's forwards fail with ErrPeerUnavailable, the breaker opens after
-// the threshold, Owner routes the dead peer's keys to self, and Forward
-// refuses instantly while open.
+// TestForwardFailureTripsBreakerAndFallsBack pins the one failure rule: a
+// forward is a single attempt, and a peer that gives no answer — a refused
+// connection or a 503 — fails it with ErrPeerUnavailable and is marked
+// down at once, so Owner routes its keys to self until the next passing
+// probe brings it back.
 func TestForwardFailureTripsBreakerAndFallsBack(t *testing.T) {
-	// A peer nobody listens on: forwards fail with connection refused.
+	var solves atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		solves.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable) // draining or shedding
+	}))
+	t.Cleanup(ts.Close)
+	shedding := strings.TrimPrefix(ts.URL, "http://")
 	dead := "127.0.0.1:1" // reserved port: refused immediately
-	cDead := newTestCluster(t, "self:0", dead)
-	var key string
-	for i := 0; ; i++ {
-		if k := keyFor(i); cDead.ring.Owner(k) == dead {
-			key = k
-			break
+
+	for _, peer := range []string{dead, shedding} {
+		c := newTestCluster(t, "self:0", peer)
+		var key string
+		for i := 0; ; i++ {
+			if k := keyFor(i); c.ring.Owner(k) == peer {
+				key = k
+				break
+			}
+		}
+		_, _, err := c.Forward(context.Background(), peer, "/v1/solve", []byte(`{}`))
+		if !errors.Is(err, ErrPeerUnavailable) {
+			t.Fatalf("%s: Forward error %v does not wrap ErrPeerUnavailable", peer, err)
+		}
+		if owner, local := c.Owner(key); !local || owner != "self:0" {
+			t.Fatalf("%s: peer still owns keys after one failed forward: owner=%s local=%v", peer, owner, local)
+		}
+		if st := c.Status(); len(st) != 2 || st[1].Up {
+			t.Fatalf("%s: peer still marked up: %+v", peer, st)
+		}
+		if peer == shedding {
+			if n := solves.Load(); n != 1 {
+				t.Fatalf("forward made %d attempts, want exactly 1", n)
+			}
+			c.CheckHealth(context.Background())
+			if st := c.Status(); !st[1].Up {
+				t.Fatalf("passing probe did not bring the peer back: %+v", st)
+			}
 		}
 	}
-	ctx := context.Background()
-	// One Forward call retries internally and records >= 2 failures; after
-	// enough calls the breaker must be open.
-	var lastErr error
-	for i := 0; i < DefaultFailThreshold; i++ {
-		_, _, lastErr = cDead.Forward(ctx, dead, "/v1/solve", []byte(`{}`))
-		if lastErr == nil {
-			t.Fatal("forward to a dead peer succeeded")
-		}
+}
+
+// TestForwardCallerDeadlineKeepsPeerUp pins that only the peer's failures
+// mark it down: a forward abandoned because the caller's own deadline
+// expired returns the context error and leaves a healthy (slow) peer up.
+func TestForwardCallerDeadlineKeepsPeerUp(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(300 * time.Millisecond)
+		w.Write([]byte(`{"echo":true}`))
+	}))
+	t.Cleanup(ts.Close)
+	peer := strings.TrimPrefix(ts.URL, "http://")
+	c := newTestCluster(t, "self:0", peer)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, _, err := c.Forward(ctx, peer, "/v1/solve", []byte(`{}`))
+	if err == nil {
+		t.Fatal("forward outlived the caller's deadline")
 	}
-	if !strings.Contains(lastErr.Error(), "peer unavailable") {
-		t.Fatalf("error does not wrap ErrPeerUnavailable: %v", lastErr)
+	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrPeerUnavailable) {
+		t.Fatalf("deadline forward error = %v, want the caller's context error", err)
 	}
-	// The failed forwards marked the peer down: its keys now answer locally.
-	if peer, local := cDead.Owner(key); !local || peer != "self:0" {
-		t.Fatalf("dead peer still owns keys after breaker trip: peer=%s local=%v", peer, local)
-	}
-	st := cDead.Status()
-	if len(st) != 2 || st[1].Up {
-		t.Fatalf("dead peer still marked up: %+v", st)
+	if st := c.Status(); len(st) != 2 || !st[1].Up {
+		t.Fatalf("caller's deadline marked a healthy peer down: %+v", st)
 	}
 }

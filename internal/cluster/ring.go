@@ -8,10 +8,11 @@
 //     the space is untouched;
 //   - health-checked membership (Cluster) over a static -peers list: every
 //     peer is probed at /healthz on an interval, and a down or draining
-//     peer stops receiving forwards until it recovers;
-//   - a per-peer circuit breaker (Breaker) with exponential-backoff reopen
-//     probes, so a hung peer fails fast instead of eating a timeout per
-//     request, and the caller degrades to solving locally.
+//     peer stops receiving forwards until it passes a probe again;
+//   - single-attempt forwarding with one failure rule: a peer that gives
+//     no answer for a point (transport failure or 503) is marked down
+//     until its next passing probe, and the caller solves the point
+//     locally.
 //
 // The package is transport-shaped but model-agnostic: it moves opaque JSON
 // bodies between peers and never imports the serving layer. See

@@ -65,8 +65,9 @@ type ServeStats struct {
 	// Forwarded counts points routed to their owning cluster peer and
 	// answered by it.
 	Forwarded int64 `json:"forwarded"`
-	// ForwardFailures counts forwards that failed (peer dead, breaker
-	// open, transport error) and fell back to a local solve.
+	// ForwardFailures counts forwards the owning peer gave no answer for
+	// (transport error, 503, undecodable body), each of which marked the
+	// peer down and fell back to a local solve.
 	ForwardFailures int64 `json:"forwardFailures"`
 	// Shed counts requests refused with 503 + Retry-After by the
 	// admission gate (max in-flight and queue both full).

@@ -17,13 +17,19 @@ import (
 // startNode binds a real listener, builds a cluster-mode Server advertising
 // that address, and serves it — the serve-layer analogue of one bgperfd.
 // The peer list must include the node's own address.
-func startNode(t *testing.T, ln net.Listener, peers []string) *Server {
+func startNode(t testing.TB, ln net.Listener, peers []string) *Server {
 	t.Helper()
-	s := newTest(t, Options{
+	return serveOn(t, ln, Options{
 		Self:           ln.Addr().String(),
 		Peers:          peers,
 		HealthInterval: -1, // membership is static for the test
 	})
+}
+
+// serveOn builds a Server over opts and serves it on ln until cleanup.
+func serveOn(t testing.TB, ln net.Listener, opts Options) *Server {
+	t.Helper()
+	s := newTest(t, opts)
 	hs := &http.Server{Handler: s.Handler()}
 	go hs.Serve(ln)
 	t.Cleanup(func() { hs.Close() })
@@ -31,7 +37,7 @@ func startNode(t *testing.T, ln net.Listener, peers []string) *Server {
 }
 
 // listen binds an ephemeral localhost port.
-func listen(t *testing.T) net.Listener {
+func listen(t testing.TB) net.Listener {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -145,6 +151,120 @@ func TestClusterDeadPeerFallsBackLocally(t *testing.T) {
 	}
 }
 
+// TestClusterDrainingOwnerFallsBackLocally pins that a draining owner's
+// 503 is no answer: the coordinator marks the owner down and solves the
+// point itself, instead of relaying the 503 to its client.
+func TestClusterDrainingOwnerFallsBackLocally(t *testing.T) {
+	lnA, lnB := listen(t), listen(t)
+	peers := []string{lnA.Addr().String(), lnB.Addr().String()}
+	sA := startNode(t, lnA, peers)
+	sB := startNode(t, lnB, peers)
+	body, _ := pointOwnedBy(t, sA, peers[1])
+	sB.StartDrain()
+
+	resp, err := http.Post("http://"+peers[0]+"/v1/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("draining owner's point: status %d: %s", resp.StatusCode, got)
+	}
+	var res PointResult
+	if err := json.Unmarshal(got, &res); err != nil {
+		t.Fatal(err)
+	}
+	assertDirectMetrics(t, body, res)
+	if res.Peer != "" {
+		t.Fatalf("locally-answered point claims peer %q", res.Peer)
+	}
+	if n := sA.Stats().ForwardFailures; n != 1 {
+		t.Fatalf("forwardFailures = %d, want 1", n)
+	}
+	assertPeerDown(t, sA, peers[1])
+}
+
+// TestClusterTruncatedAnswerFallsBackLocally pins the garbage-peer fault:
+// an owner that answers 200 with a truncated body, or with a body that
+// carries neither metrics nor an error, yields no answer, so the
+// coordinator counts one forward failure, marks the owner down, and
+// returns the correct metrics from a local solve.
+func TestClusterTruncatedAnswerFallsBackLocally(t *testing.T) {
+	for name, answer := range map[string]string{
+		"truncated":    `{"key":"k","metrics":{"qlenFG":0.`,
+		"empty-object": `{}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.Write([]byte(answer))
+			}))
+			t.Cleanup(ts.Close)
+			garbage := strings.TrimPrefix(ts.URL, "http://")
+			s := newTest(t, Options{
+				Self:           "self:0",
+				Peers:          []string{"self:0", garbage},
+				HealthInterval: -1,
+			})
+			body, _ := pointOwnedBy(t, s, garbage)
+			rec := postJSON(t, s.Handler(), "/v1/solve", body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("garbage-answer point: status %d: %s", rec.Code, rec.Body)
+			}
+			var res PointResult
+			if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+				t.Fatal(err)
+			}
+			assertDirectMetrics(t, body, res)
+			if res.Peer != "" {
+				t.Fatalf("locally-answered point claims peer %q", res.Peer)
+			}
+			if n := s.Stats().ForwardFailures; n != 1 {
+				t.Fatalf("forwardFailures = %d, want 1", n)
+			}
+			assertPeerDown(t, s, garbage)
+		})
+	}
+}
+
+// assertDirectMetrics checks that res carries metrics byte-equal to a
+// single-node daemon's answer for the same request body.
+func assertDirectMetrics(t *testing.T, body string, res PointResult) {
+	t.Helper()
+	rec := postJSON(t, newTest(t, Options{}).Handler(), "/v1/solve", body)
+	var direct PointResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &direct); err != nil || direct.Metrics == nil {
+		t.Fatalf("direct solve: %v: %s", err, rec.Body)
+	}
+	got, _ := json.Marshal(res.Metrics)
+	want, _ := json.Marshal(direct.Metrics)
+	if string(got) != string(want) {
+		t.Fatalf("metrics differ from a direct solve\n got:  %s\n want: %s", got, want)
+	}
+}
+
+// assertPeerDown checks that s's /clusterz shows peer as down.
+func assertPeerDown(t *testing.T, s *Server, peer string) {
+	t.Helper()
+	rec := doGet(t, s.Handler(), "/clusterz")
+	var cz struct {
+		Peers []cluster.PeerStatus `json:"peers"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &cz); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range cz.Peers {
+		if p.Addr == peer {
+			if p.Up {
+				t.Fatalf("peer %s still up in /clusterz: %s", peer, rec.Body)
+			}
+			return
+		}
+	}
+	t.Fatalf("peer %s missing from /clusterz: %s", peer, rec.Body)
+}
+
 // TestForwardedHeaderAnswersLocally pins loop prevention: a request a peer
 // already routed here is answered locally even when the ring says another
 // peer owns it — no forward is attempted at all.
@@ -203,22 +323,29 @@ func pointOwnedBy(t *testing.T, s *Server, peer string) (body, key string) {
 	t.Helper()
 	for i := 1; i < 1000; i++ {
 		body = fmt.Sprintf(`{"workload":"email","utilization":0.2,"bgProb":%.4f}`, float64(i)/1000)
-		var req SolveRequest
-		if err := json.Unmarshal([]byte(body), &req); err != nil {
-			t.Fatal(err)
-		}
-		cfg, err := req.Config()
-		if err != nil {
-			t.Fatal(err)
-		}
-		k, err := core.CacheKey(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if owner, local := s.cl.Owner(k); !local && owner == peer {
+		if owner, k := ownerOf(t, s, body); owner == peer {
 			return body, k
 		}
 	}
 	t.Fatal("no point owned by the peer in 1000 probes")
 	return "", ""
+}
+
+// ownerOf returns the peer s currently routes a /v1/solve body to, and the
+// body's cache key.
+func ownerOf(t testing.TB, s *Server, body string) (owner, key string) {
+	t.Helper()
+	var req SolveRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, err = core.CacheKey(cfg); err != nil {
+		t.Fatal(err)
+	}
+	owner, _ = s.cl.Owner(key)
+	return owner, key
 }

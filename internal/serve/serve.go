@@ -22,8 +22,8 @@
 //     a re-warmed sweep re-solves nothing;
 //   - cluster mode (internal/cluster) — a static peer list is consistent-
 //     hashed over the key space, each point is forwarded to its owning
-//     peer (which holds that shard's memory and disk cache), and a dead or
-//     draining peer's shard degrades to a local solve instead of failing.
+//     peer (which holds that shard's memory and disk cache), and a point
+//     whose owner gives no answer is solved locally instead of failing.
 //
 // /v1/sweep additionally streams: a request with Accept:
 // application/x-ndjson receives one PointResult per line, in request
@@ -213,7 +213,6 @@ func New(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.cl = cl
-		cl.Start()
 	}
 	s.mux.HandleFunc("/v1/solve", s.handleSolve)
 	s.mux.HandleFunc("/v1/sweep", s.handleSweep)
@@ -340,15 +339,43 @@ func planResultSize(p *plan.Result) int64 {
 		int64(len(p.Neighborhood))*int64(unsafe.Sizeof(plan.Neighbor{}))
 }
 
-// reject handles the draining gate; it reports true when the request was
-// refused.
-func (s *Server) reject(w http.ResponseWriter) bool {
-	if !s.draining.Load() {
-		return false
+// begin runs the prologue every work endpoint shares: POST only, 503
+// while draining, the request deadline, and an admission-gate slot; a
+// non-nil body is then strictly decoded from the request JSON. ok=false
+// means the error response is already written. On ok the caller must call
+// done when it has answered.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, body any) (ctx context.Context, done func(), ok bool) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST required"))
+		return nil, nil, false
 	}
-	s.stats.Rejected()
-	writeError(w, http.StatusServiceUnavailable, errors.New("serve: draining, not accepting new work"))
-	return true
+	if s.draining.Load() {
+		s.stats.Rejected()
+		writeError(w, http.StatusServiceUnavailable, errors.New("serve: draining, not accepting new work"))
+		return nil, nil, false
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+	release, admitted := s.gate.acquire(ctx)
+	if !admitted {
+		cancel()
+		shedResponse(w)
+		return nil, nil, false
+	}
+	done = func() {
+		release()
+		cancel()
+	}
+	if body != nil {
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(body); err != nil {
+			writeError(w, http.StatusBadRequest,
+				core.NewValidationError(core.ErrConfig, "body", "malformed request JSON: %v", err))
+			done()
+			return nil, nil, false
+		}
+	}
+	return ctx, done, true
 }
 
 // solvePoint answers one parameter point through the full serving
@@ -488,12 +515,14 @@ func (s *Server) diskPut(key string, m core.Metrics) {
 }
 
 // forwardSolve routes one point to its owning peer and adapts the answer.
-// ok=false means the forward failed (peer dead, breaker open) and the
-// caller should solve locally; any HTTP answer from the peer — including
-// its application errors — is returned as-is with ok=true. Successful
-// answers are promoted into the local memory tier (not the disk tier: the
-// owner's disk already holds the point, duplicating it here would defeat
-// the sharding).
+// ok=false means the peer gave no answer for the point — a transport
+// failure, a 503, or a body that does not decode into a result, each of
+// which marks the peer down — and the caller should solve locally. A
+// forward cut short by ctx itself counts no failure (the local path then
+// answers 504). Any other answer from the peer, its application errors
+// included, is returned as-is with ok=true. Successful answers are
+// promoted into the local memory tier (not the disk tier: the owner's disk
+// already holds the point, duplicating it here would defeat the sharding).
 func (s *Server) forwardSolve(ctx context.Context, peer string, req SolveRequest, key string) (PointResult, int, bool) {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -501,11 +530,14 @@ func (s *Server) forwardSolve(ctx context.Context, peer string, req SolveRequest
 	}
 	respBody, status, err := s.cl.Forward(ctx, peer, "/v1/solve", body)
 	if err != nil {
-		s.stats.ForwardFailure()
+		if ctx.Err() == nil {
+			s.stats.ForwardFailure()
+		}
 		return PointResult{}, 0, false
 	}
 	var res PointResult
-	if err := json.Unmarshal(respBody, &res); err != nil {
+	if err := json.Unmarshal(respBody, &res); err != nil || (res.Metrics == nil && res.Error == nil) {
+		s.cl.MarkDown(peer)
 		s.stats.ForwardFailure()
 		return PointResult{}, 0, false
 	}
@@ -519,29 +551,12 @@ func (s *Server) forwardSolve(ctx context.Context, peer string, req SolveRequest
 
 // handleSolve answers POST /v1/solve: one parameter point.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST required"))
-		return
-	}
-	if s.reject(w) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	release, admitted := s.gate.acquire(ctx)
-	if !admitted {
-		shedResponse(w)
-		return
-	}
-	defer release()
 	var req SolveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest,
-			core.NewValidationError(core.ErrConfig, "body", "malformed request JSON: %v", err))
+	ctx, done, ok := s.begin(w, r, &req)
+	if !ok {
 		return
 	}
+	defer done()
 	res, status := s.solvePoint(ctx, req, r.Header.Get(cluster.ForwardedHeader) != "")
 	finishResult(&res, status)
 	writeJSON(w, status, res)
@@ -551,29 +566,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // worker pool. Point-level failures are embedded per result; the HTTP
 // status is 200 whenever the sweep itself was well-formed.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST required"))
-		return
-	}
-	if s.reject(w) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	release, admitted := s.gate.acquire(ctx)
-	if !admitted {
-		shedResponse(w)
-		return
-	}
-	defer release()
 	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest,
-			core.NewValidationError(core.ErrConfig, "body", "malformed request JSON: %v", err))
+	ctx, done, ok := s.begin(w, r, &req)
+	if !ok {
 		return
 	}
+	defer done()
 	if len(req.Points) == 0 {
 		writeError(w, http.StatusBadRequest,
 			core.NewValidationError(core.ErrConfig, "points", "sweep needs at least one point"))
@@ -702,29 +700,12 @@ func (s *Server) planPoint(ctx context.Context, cfg core.Config, slo plan.SLO, p
 
 // handleOptimize answers POST /v1/optimize: one capacity plan.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST required"))
-		return
-	}
-	if s.reject(w) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	release, admitted := s.gate.acquire(ctx)
-	if !admitted {
-		shedResponse(w)
-		return
-	}
-	defer release()
 	var req OptimizeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest,
-			core.NewValidationError(core.ErrConfig, "body", "malformed request JSON: %v", err))
+	ctx, done, ok := s.begin(w, r, &req)
+	if !ok {
 		return
 	}
+	defer done()
 	cfg, slo, popts, err := req.PlanInputs()
 	if err != nil {
 		writeError(w, statusFor(err), err)
@@ -742,21 +723,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // Sec. 3.1 ingest-and-fit workflow), installs it as the arrival process,
 // and answers the capacity plan.
 func (s *Server) handlePlanFromTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("serve: POST required"))
+	ctx, done, ok := s.begin(w, r, nil)
+	if !ok {
 		return
 	}
-	if s.reject(w) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	release, admitted := s.gate.acquire(ctx)
-	if !admitted {
-		shedResponse(w)
-		return
-	}
-	defer release()
+	defer done()
 	req, err := planTraceQuery(r.URL.Query())
 	if err != nil {
 		writeError(w, statusFor(err), err)

@@ -365,6 +365,16 @@ func (m *Model) qbdBlocks() (qbd.Boundary, *qbd.Process, error) {
 	return boundary, proc, nil
 }
 
+// ChainBlocks returns the repeating blocks (A0 up, A1 local, A2 down) of the
+// chain m solves, so solver tests can hand them to their oracles.
+func (m *Model) ChainBlocks() (a0, a1, a2 *mat.Matrix, err error) {
+	_, proc, err := m.qbdBlocks()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return proc.A0(), proc.A1(), proc.A2(), nil
+}
+
 // Generator builds the truncated global generator covering levels
 // 0..maxLevel, with down-only truncation at the top (the top level keeps its
 // true diagonal minus up-rates, so row sums are zero). Intended for tests and
@@ -390,9 +400,4 @@ func (m *Model) Generator(maxLevel int) *mat.Matrix {
 		g.Add(i, i, -g.RowSum(i))
 	}
 	return g
-}
-
-// matSpectralRadius estimates the spectral radius of a nonnegative matrix.
-func matSpectralRadius(r *mat.Matrix) float64 {
-	return mat.SpectralRadius(r, 1e-12, 10000)
 }

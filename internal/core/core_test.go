@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"bgperf/internal/markov"
 	"bgperf/internal/mat"
 	"bgperf/internal/qbd"
+	"bgperf/internal/workload"
 )
 
 func poissonCfg(t testing.TB, lambda, mu, p float64, buf int, alpha float64) Config {
@@ -796,5 +798,62 @@ func TestFGQueueQuantile(t *testing.T) {
 	n, err = s.FGQueueQuantile(0.5)
 	if err != nil || n != 0 {
 		t.Errorf("q50 = %v, %v; want 0", n, err)
+	}
+}
+
+// BenchmarkSolveLarge times cold model builds and solves of the large-state
+// points the daemon's sweep benchmark draws (its sweep_large grid): the
+// email (utilization 0.2) and softdev (0.3) workloads at p = 0.6 with
+// buffers X = 10, 30, 50, and the softdev capacity-modulated deadline point
+// (φ = 0.7, δ = 0.4) at X = 20 and 50. Run it with -benchmem.
+func BenchmarkSolveLarge(b *testing.B) {
+	type point struct {
+		name     string
+		load     func() (*arrival.MAP, error)
+		util     float64
+		x        int
+		deadline bool
+	}
+	var pts []point
+	for _, w := range []struct {
+		name string
+		load func() (*arrival.MAP, error)
+		util float64
+	}{{"email", workload.Email, 0.2}, {"softdev", workload.SoftwareDevelopment, 0.3}} {
+		for _, x := range []int{10, 30, 50} {
+			pts = append(pts, point{fmt.Sprintf("%s/X=%d", w.name, x), w.load, w.util, x, false})
+		}
+	}
+	for _, x := range []int{20, 50} {
+		pts = append(pts, point{fmt.Sprintf("deadline/X=%d", x), workload.SoftwareDevelopment, 0.3, x, true})
+	}
+	for _, pt := range pts {
+		b.Run(pt.name, func(b *testing.B) {
+			base, err := pt.load()
+			if err != nil {
+				b.Fatal(err)
+			}
+			arr, err := workload.AtUtilization(base, pt.util)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := Config{
+				Arrival: arr, ServiceRate: workload.ServiceRatePerMs,
+				BGProb: 0.6, BGBuffer: pt.x, IdleRate: 1 / workload.MeanServiceTimeMs,
+			}
+			if pt.deadline {
+				cfg.ModFactor, cfg.BGAdmit, cfg.DeadlineRate = 0.7, AdmitDeadline, 0.4
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := NewModel(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := m.Solve(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

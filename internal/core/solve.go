@@ -407,7 +407,7 @@ func (s *Solution) QBD() *qbd.Solution { return s.sol }
 // queue tail thins. Values near 1 are the signature of strongly dependent
 // arrivals.
 func (s *Solution) TailDecayRate() float64 {
-	return matSpectralRadius(s.sol.R)
+	return s.sol.SpectralRadius()
 }
 
 // FGQueueQuantile returns the smallest n with P(y ≤ n) ≥ q, for q in (0,1).

@@ -11,16 +11,17 @@ import (
 
 // Scalability generates table S-1: wall-clock solve time as the state space
 // grows with the background buffer size and the arrival-process order. The
-// repeating blocks have (2X+1)·A·S states; the dominant costs are the
-// cyclic reduction for G/R (cubic in the block size) and the block-LU
-// boundary sweep. Timings are machine-dependent — the table documents
-// scaling shape, not absolute speed.
+// repeating blocks have (2X+1)·A·S states; the dominant cost is the
+// block-LU boundary sweep, since G and R come block by block over the
+// repeating level's strongly connected components. Timings are
+// machine-dependent — the table documents scaling shape, not absolute
+// speed.
 func Scalability() (Result, error) {
 	tbl := Table{
 		ID:     "scalability",
 		Title:  "Solver wall-clock time vs state-space size (Soft.Dev. at 30% load, p = 0.6)",
 		Header: []string{"buffer X", "MAP order", "block states", "solve-ms"},
-		Notes:  "timings vary by machine; the shape (cubic in block size) is the point",
+		Notes:  "timings vary by machine; the shape (growth with the boundary size) is the point",
 	}
 	soft, err := workload.SoftwareDevelopment()
 	if err != nil {

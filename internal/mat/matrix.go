@@ -124,6 +124,13 @@ func (m *Matrix) Row(i int) []float64 {
 	return r
 }
 
+// RowView returns row i as a slice aliasing m's storage: writes through it
+// change m. It gives solvers outside this package allocation-free row
+// access for the axpy loops of structured (block-triangular) products.
+func (m *Matrix) RowView(i int) []float64 {
+	return m.a[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
+}
+
 // SetRow copies v into row i.
 func (m *Matrix) SetRow(i int, v []float64) {
 	if len(v) != m.cols {

@@ -108,6 +108,10 @@ func TestRowAndSetRow(t *testing.T) {
 	if m.At(1, 0) != 3 {
 		t.Error("Row returned a view, want a copy")
 	}
+	m.RowView(1)[0] = 5 // writes through
+	if m.At(1, 0) != 5 {
+		t.Error("RowView returned a copy, want a view")
+	}
 	m.SetRow(0, []float64{7, 8})
 	if m.At(0, 1) != 8 {
 		t.Errorf("SetRow: At(0,1) = %v, want 8", m.At(0, 1))
@@ -407,6 +411,53 @@ func TestQuickSolveResidual(t *testing.T) {
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickSolveLeftInto checks the row-vector solve x·A = b against its
+// residual on matrices that need pivoting, including the aliased dst = b
+// form.
+func TestQuickSolveLeftInto(t *testing.T) {
+	f := func(seed int64, szRaw uint8) bool {
+		n := int(szRaw%12) + 1
+		r := rand.New(rand.NewSource(seed))
+		a := New(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, r.NormFloat64())
+			}
+			a.Set(i, i, 1e-3*r.NormFloat64()) // small pivots force row swaps
+		}
+		lu, err := Factorize(a)
+		if err != nil {
+			return true
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = r.NormFloat64()
+		}
+		x := lu.SolveLeftInto(make([]float64, n), b)
+		xmax := 0.0
+		for _, v := range x {
+			xmax = math.Max(xmax, math.Abs(v))
+		}
+		scale := a.NormInf() * (1 + xmax)
+		for j, v := range a.VecMul(x) {
+			if math.Abs(v-b[j]) > 1e-9*scale {
+				return false
+			}
+		}
+		alias := append([]float64(nil), b...)
+		lu.SolveLeftInto(alias, alias)
+		for i := range x {
+			if alias[i] != x[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

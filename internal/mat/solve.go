@@ -172,6 +172,45 @@ func (f *LU) SolveVecInto(dst, b []float64) []float64 {
 	return dst
 }
 
+// SolveLeftInto solves the row-vector system x·A = b into dst and returns
+// dst, where f is the factorization of A. dst may alias b. With P·A = L·U it
+// solves z·U = b, then y·L = z, then scatters x = y·P; both substitutions walk
+// the factor by rows, so no transpose is formed.
+func (f *LU) SolveLeftInto(dst, b []float64) []float64 {
+	n := f.lu.rows
+	if len(b) != n || len(dst) != n {
+		panic(ErrShape)
+	}
+	w := f.ensureScratch()
+	copy(w, b)
+	// z·U = b: z_i is final once the rows above it have been subtracted.
+	for i := 0; i < n; i++ {
+		row := f.lu.a[i*n : (i+1)*n]
+		zi := w[i] / row[i]
+		w[i] = zi
+		if zi == 0 {
+			continue
+		}
+		for j := i + 1; j < n; j++ {
+			w[j] -= zi * row[j]
+		}
+	}
+	// y·L = z with unit lower-triangular L, bottom row first.
+	for i := n - 1; i > 0; i-- {
+		yi := w[i]
+		if yi == 0 {
+			continue
+		}
+		for j, v := range f.lu.a[i*n : i*n+i] {
+			w[j] -= yi * v
+		}
+	}
+	for i, p := range f.piv {
+		dst[p] = w[i]
+	}
+	return dst
+}
+
 // SolveMat solves A·X = B column by column and returns X.
 func (f *LU) SolveMat(b *Matrix) *Matrix {
 	x := New(f.lu.rows, b.cols)
@@ -600,13 +639,13 @@ func SpectralRadius(a *Matrix, tol float64, maxIter int) float64 {
 	if n != a.cols {
 		panic(ErrShape)
 	}
-	x := make([]float64, n)
+	x, y := make([]float64, n), make([]float64, n)
 	for i := range x {
 		x[i] = 1
 	}
 	prev := 0.0
 	for it := 0; it < maxIter; it++ {
-		y := a.MulVec(x)
+		a.MulVecInto(y, x)
 		var norm float64
 		for _, v := range y {
 			if av := math.Abs(v); av > norm {
@@ -619,7 +658,7 @@ func SpectralRadius(a *Matrix, tol float64, maxIter int) float64 {
 		for i := range y {
 			y[i] /= norm
 		}
-		x = y
+		x, y = y, x
 		if it > 0 && math.Abs(norm-prev) <= tol*math.Max(norm, 1e-300) {
 			return norm
 		}

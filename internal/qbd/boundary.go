@@ -85,8 +85,8 @@ type Solution struct {
 	// R is the rate matrix: π_{B+1+k} = RepPi · R^k.
 	R *mat.Matrix
 
-	firstRep int         // index of the first repeating level (B+1)
-	sumR     *mat.Matrix // (I−R)⁻¹, cached
+	firstRep int     // index of the first repeating level (B+1)
+	spR      float64 // sp(R), from R's diagonal phase blocks
 
 	// Geometric-tail moment vectors, computed once at Solve time: every
 	// metric assembled from the tail (core.maskedMass probes them per
@@ -125,7 +125,7 @@ func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 	if o != nil {
 		t0 = time.Now()
 	}
-	r, err := p.rWS(ws, o)
+	r, spR, err := p.rWS(ws, o)
 	if o != nil {
 		o.StageDone(obs.StageRSolve, time.Since(t0))
 		defer func() {
@@ -143,19 +143,18 @@ func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 		return nil, err
 	}
 	m := p.Order()
-	sumR := mat.New(m, m) // cached on the Solution; never pooled
+	// One factorization of I−R serves the mass of the tail and its moments:
+	// every (I−R)⁻ᵏ they need is a row-vector solve.
+	tailLU := ws.LU(m)
 	{
 		idMinusR := ws.MatrixUninit(m, m).ScaleInto(r, -1)
 		for i := 0; i < m; i++ {
 			idMinusR.Add(i, i, 1)
 		}
-		lu := ws.LU(m)
-		if err := mat.FactorizeInto(lu, idMinusR); err != nil {
+		if err := mat.FactorizeInto(tailLU, idMinusR); err != nil {
 			return nil, fmt.Errorf("qbd: (I−R) singular: %w", err)
 		}
-		lu.InverseInto(sumR)
 		ws.Release(idMinusR)
-		ws.ReleaseLU(lu)
 	}
 
 	nb := b.levels()
@@ -224,7 +223,7 @@ func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 
 	// Forward sweep and global normalization. π_{j+1} = π_j·T_{j+1} is a
 	// row-vector product, so no transposition is needed.
-	sol := &Solution{R: r, firstRep: nb, sumR: sumR}
+	sol := &Solution{R: r, firstRep: nb, spR: spR}
 	sol.BoundaryPi = make([][]float64, nb)
 	cur := pi0
 	total := 0.0
@@ -236,7 +235,9 @@ func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 	}
 	ws.Release(prop[1:]...)
 	sol.RepPi = cur
-	total += mat.Dot(cur, sumR.RowSums())
+	tail := tailLU.SolveLeftInto(ws.Vector(m), cur)
+	total += mat.Sum(tail)
+	ws.ReleaseVector(tail)
 	if total <= 0 {
 		return nil, fmt.Errorf("qbd: nonpositive boundary mass %g", total)
 	}
@@ -244,7 +245,8 @@ func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 		sol.BoundaryPi[j] = clampProbs(mat.ScaleVec(sol.BoundaryPi[j], 1/total))
 	}
 	sol.RepPi = clampProbs(mat.ScaleVec(sol.RepPi, 1/total))
-	sol.cacheTailMoments(ws)
+	sol.cacheTailMoments(tailLU, ws)
+	ws.ReleaseLU(tailLU)
 	return sol, nil
 }
 
@@ -264,34 +266,27 @@ func sparseDown(down *mat.Matrix) *mat.Sparse {
 }
 
 // cacheTailMoments precomputes the three geometric-tail moment vectors from
-// R, (I−R)⁻¹, and RepPi, using ws for every matrix intermediate.
-func (s *Solution) cacheTailMoments(ws *mat.Workspace) {
+// R, RepPi and lu, the factorization of I−R: three row-vector solves give
+// RepPi·(I−R)⁻¹, ⁻² and ⁻³, and R commutes with (I−R)⁻¹, so the weighted
+// sums finish with products by R and by I+R. ws supplies the scratch
+// vectors.
+func (s *Solution) cacheTailMoments(lu *mat.LU, ws *mat.Workspace) {
 	m := s.R.Rows()
 	// Σ_k RepPi·R^k = RepPi·(I−R)⁻¹.
-	s.tailSum = s.sumR.VecMulInto(make([]float64, m), s.RepPi)
+	s.tailSum = lu.SolveLeftInto(make([]float64, m), s.RepPi)
 
 	// Σ_k k·RepPi·R^k = RepPi·(I−R)⁻²·R.
-	sumR2 := ws.MatrixUninit(m, m)
-	sumR2.MulInto(s.sumR, s.sumR)
-	v := ws.Vector(m)
-	sumR2.VecMulInto(v, s.RepPi)
+	v := lu.SolveLeftInto(ws.Vector(m), s.tailSum)
 	s.tailW = s.R.VecMulInto(make([]float64, m), v)
 
-	// Σ_k k²·RepPi·R^k = RepPi·R·(I+R)·(I−R)⁻³.
-	cube := ws.MatrixUninit(m, m)
-	cube.MulInto(sumR2, s.sumR)
-	ipr := s.R.CloneInto(ws.MatrixUninit(m, m))
-	for i := 0; i < m; i++ {
-		ipr.Add(i, i, 1)
+	// Σ_k k²·RepPi·R^k = RepPi·(I−R)⁻³·R·(I+R).
+	lu.SolveLeftInto(v, v)
+	u := s.R.VecMulInto(ws.Vector(m), v)
+	s.tailW2 = s.R.VecMulInto(make([]float64, m), u)
+	for i, x := range u {
+		s.tailW2[i] += x
 	}
-	rIpr := ws.MatrixUninit(m, m)
-	rIpr.MulInto(s.R, ipr)
-	factor := ws.MatrixUninit(m, m)
-	factor.MulInto(rIpr, cube)
-	s.tailW2 = factor.VecMulInto(make([]float64, m), s.RepPi)
-
-	ws.Release(sumR2, cube, ipr, rIpr, factor)
-	ws.ReleaseVector(v)
+	ws.ReleaseVector(v, u)
 }
 
 // leftNullVector returns the (nonnegative, sum-1) left null vector of the
@@ -380,6 +375,11 @@ func copyVec(v []float64) []float64 {
 	copy(out, v)
 	return out
 }
+
+// SpectralRadius returns sp(R), the caudal characteristic of the tail: the
+// largest spectral radius of R's diagonal phase blocks, computed once at
+// Solve time.
+func (s *Solution) SpectralRadius() float64 { return s.spR }
 
 // TotalMass returns the total probability mass (1 up to numerical error).
 func (s *Solution) TotalMass() float64 {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"bgperf/internal/mat"
-	"bgperf/internal/obs"
 )
 
 // SetWorkers bounds the goroutine fan-out of the block-row-banded matrix
@@ -29,6 +28,9 @@ func MulBudget(iters int) int64 { return int64(4 * iters) }
 // threshold is always reached and overshooting it costs at most one cheap
 // extra iteration while guaranteeing G to near machine precision.
 const crTol = 1e-14
+
+// maxCRIter bounds the iterations of one cyclic-reduction run.
+const maxCRIter = 200
 
 // crState is the preallocated working set of one cyclic-reduction run: the
 // three block iterates, the censored-level accumulator, the two solve
@@ -141,28 +143,26 @@ func (s *crState) infNorm(m *mat.Matrix) float64 {
 // blocks (b0 up, b1 local, b2 down), returning G and the iteration count the
 // op-budget regression tests pin (MulBudget(iters) products).
 func cyclicReduction(b0, b1, b2 *mat.Matrix) (*mat.Matrix, int, error) {
-	g, iters, _, err := cyclicReductionObs(b0, b1, b2, nil, nil, 1)
-	return g, iters, err
+	return cyclicReductionObs(b0, b1, b2, nil, nil, 1)
 }
 
 // cyclicReductionObs is cyclicReduction drawing its working set from ws (nil
-// ws allocates), reporting the per-iteration residual min(‖up‖∞, ‖down‖∞)
-// to o (nil o skips all reporting), and fanning its block-row multiplies
-// over workers goroutines (<= 1 serial; results are bit-identical for every
-// worker count). The returned G is not handed back to ws. residual is G's
-// defect (max |1 − rowsum|).
-func cyclicReductionObs(b0, b1, b2 *mat.Matrix, ws *mat.Workspace, o obs.Observer, workers int) (g *mat.Matrix, iters int, residual float64, err error) {
+// ws allocates), recording the residual min(‖up‖∞, ‖down‖∞) of iteration k
+// in trace[k-1] (nil trace records nothing; otherwise it needs maxCRIter
+// entries), and fanning its block-row multiplies over workers goroutines
+// (<= 1 serial; results are bit-identical for every worker count). The
+// returned G is drawn from ws but not handed back to it.
+func cyclicReductionObs(b0, b1, b2 *mat.Matrix, ws *mat.Workspace, trace []float64, workers int) (g *mat.Matrix, iters int, err error) {
 	s := newCRState(b0.Rows(), ws, workers)
 	defer s.release()
 	s.start(b0, b1, b2)
-	const maxIter = 200
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < maxCRIter; iter++ {
 		done, err := s.step()
-		if o != nil {
-			o.RIteration(iter+1, s.residual)
+		if trace != nil {
+			trace[iter] = s.residual
 		}
 		if err != nil {
-			return nil, iter, s.residual, fmt.Errorf("qbd: cyclic reduction step %d: %w", iter, err)
+			return nil, iter, fmt.Errorf("qbd: cyclic reduction step %d: %w", iter, err)
 		}
 		if !done {
 			continue
@@ -172,17 +172,11 @@ func cyclicReductionObs(b0, b1, b2 *mat.Matrix, ws *mat.Workspace, o obs.Observe
 		// step.
 		s.work.SubInto(s.id, s.hat)
 		if err := mat.FactorizeInto(s.lu, s.work); err != nil {
-			return nil, iter + 1, s.residual, fmt.Errorf("qbd: cyclic reduction: censored level: %w", err)
+			return nil, iter + 1, fmt.Errorf("qbd: cyclic reduction: censored level: %w", err)
 		}
 		g = s.ws.MatrixUninit(b0.Rows(), b0.Cols())
 		s.lu.SolveMatInto(g, b2)
-		defect := 0.0
-		for _, rs := range g.RowSumsInto(s.rowSums) {
-			if d := math.Abs(1 - rs); d > defect {
-				defect = d
-			}
-		}
-		return g, iter + 1, defect, nil
+		return g, iter + 1, nil
 	}
-	return nil, maxIter, s.residual, fmt.Errorf("%w: cyclic reduction after %d iterations", ErrNoConvergence, maxIter)
+	return nil, maxCRIter, fmt.Errorf("%w: cyclic reduction after %d iterations", ErrNoConvergence, maxCRIter)
 }

@@ -159,26 +159,34 @@ func TestROracleAgreement(t *testing.T) {
 // serial result. Run under -race (the CI race job) this also exercises the
 // concurrent use of the shared workspace and the disjoint row-band writes.
 func TestWorkersBitIdentical(t *testing.T) {
-	t.Run("cyclic", func(t *testing.T) {
-		rSerial, err := bigProcess(t, 96).R()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pPar := bigProcess(t, 96)
-		pPar.SetWorkers(4)
-		rPar, err := pPar.R()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < rSerial.Rows(); i++ {
-			for j := 0; j < rSerial.Cols(); j++ {
-				s, p := rSerial.At(i, j), rPar.At(i, j)
-				if math.Float64bits(s) != math.Float64bits(p) {
-					t.Fatalf("R(%d,%d) differs across worker counts: %g vs %g", i, j, s, p)
+	for _, c := range []struct {
+		name  string
+		build func(*testing.T) *Process
+	}{
+		{"cyclic", func(t *testing.T) *Process { return bigProcess(t, 96) }},
+		{"blocks", func(t *testing.T) *Process { return blockProcess(t, 96, 2) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rSerial, err := c.build(t).R()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pPar := c.build(t)
+			pPar.SetWorkers(4)
+			rPar, err := pPar.R()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < rSerial.Rows(); i++ {
+				for j := 0; j < rSerial.Cols(); j++ {
+					s, p := rSerial.At(i, j), rPar.At(i, j)
+					if math.Float64bits(s) != math.Float64bits(p) {
+						t.Fatalf("R(%d,%d) differs across worker counts: %g vs %g", i, j, s, p)
+					}
 				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestSparseBlocksGating checks the CSR snapshots appear exactly when both

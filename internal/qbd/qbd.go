@@ -2,8 +2,10 @@
 // chains whose generator is block tridiagonal with a repeating portion —
 // using the matrix-geometric method of Neuts, the same method the paper uses
 // for its foreground/background model. The minimal R comes from the
-// cyclic-reduction algorithm of Bini and Meini; the logarithmic reduction the
-// paper cites ([10]) survives only as a test oracle in package qbdtest.
+// cyclic-reduction algorithm of Bini and Meini, run on each strongly
+// connected component of the phase graph (blocks.go); the logarithmic
+// reduction the paper cites ([10]) survives only as a test oracle in package
+// qbdtest.
 //
 // A QBD is described by the repeating blocks (A0, A1, A2): A0 carries the
 // rates one level up, A2 one level down, and A1 the within-level rates
@@ -51,6 +53,14 @@ type Process struct {
 	// workers bounds the block-row fan-out of the multiplies inside the R
 	// iteration; the zero value runs serially.
 	workers int
+
+	// The phase blocks G and R are solved by (see blocks.go): perm lists
+	// the phases block by block, block b spans perm[start[b]:start[b+1]],
+	// and identityPerm reports that perm is the original phase order.
+	// closed lists the closed classes of A0+A1+A2 for the drift fallback.
+	perm, start  []int
+	identityPerm bool
+	closed       [][]int
 
 	// Sparse snapshots of A0/A2, built lazily for large sparse blocks (the
 	// scaled-identity-like transition blocks of the paper's chains); nil when
@@ -122,7 +132,9 @@ func New(a0, a1, a2 *mat.Matrix) (*Process, error) {
 	if err := markov.CheckGenerator(sum, 1e-8); err != nil {
 		return nil, fmt.Errorf("%w: A0+A1+A2: %v", ErrInvalid, err)
 	}
-	return &Process{a0: a0.Clone(), a1: a1.Clone(), a2: a2.Clone(), order: m}, nil
+	p := &Process{a0: a0.Clone(), a1: a1.Clone(), a2: a2.Clone(), order: m}
+	p.setBlocks(sum)
+	return p, nil
 }
 
 // Order returns the per-level block size.
@@ -181,18 +193,14 @@ func (p *Process) computeDrift() {
 // classDrift computes the per-closed-class drift of a reducible phase
 // generator A and returns the (up, down) pair of the class with the smallest
 // stability margin down − up. Closed classes are the strongly connected
-// components of A's support graph with no edges leaving them; restricted to
-// such a class, A is an irreducible generator with its own stationary vector
-// and therefore its own conditional drift.
+// components of A's support graph with no edges leaving them (the sinks of
+// phaseBlocks); restricted to such a class, A is an irreducible generator
+// with its own stationary vector and therefore its own conditional drift.
 func (p *Process) classDrift(a *mat.Matrix) (up, down float64, err error) {
-	classes := closedClasses(a)
-	if len(classes) == 0 {
-		return 0, 0, fmt.Errorf("qbd: drift: no closed class in A")
-	}
 	upRates := p.a0.RowSums()
 	downRates := p.a2.RowSums()
 	margin := math.Inf(1)
-	for _, class := range classes {
+	for _, class := range p.closed {
 		sub := mat.New(len(class), len(class))
 		for i, gi := range class {
 			for j, gj := range class {
@@ -216,110 +224,6 @@ func (p *Process) classDrift(a *mat.Matrix) (up, down float64, err error) {
 	return up, down, nil
 }
 
-// closedClasses returns the strongly connected components of the support
-// graph of generator a that have no outgoing edges (Tarjan's algorithm,
-// iterative). States in open components are transient within a and carry no
-// stationary mass.
-func closedClasses(a *mat.Matrix) [][]int {
-	n := a.Rows()
-	adj := make([][]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && a.At(i, j) > 0 {
-				adj[i] = append(adj[i], j)
-			}
-		}
-	}
-	const unvisited = -1
-	var (
-		index   = make([]int, n)
-		lowlink = make([]int, n)
-		onStack = make([]bool, n)
-		comp    = make([]int, n)
-		stack   []int
-		sccs    [][]int
-		nextIdx int
-		frameV  []int
-		frameEi []int
-	)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
-	}
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		frameV = append(frameV[:0], root)
-		frameEi = append(frameEi[:0], 0)
-		index[root] = nextIdx
-		lowlink[root] = nextIdx
-		nextIdx++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frameV) > 0 {
-			v := frameV[len(frameV)-1]
-			ei := frameEi[len(frameEi)-1]
-			if ei < len(adj[v]) {
-				frameEi[len(frameEi)-1]++
-				w := adj[v][ei]
-				if index[w] == unvisited {
-					index[w] = nextIdx
-					lowlink[w] = nextIdx
-					nextIdx++
-					stack = append(stack, w)
-					onStack[w] = true
-					frameV = append(frameV, w)
-					frameEi = append(frameEi, 0)
-				} else if onStack[w] && index[w] < lowlink[v] {
-					lowlink[v] = index[w]
-				}
-				continue
-			}
-			frameV = frameV[:len(frameV)-1]
-			frameEi = frameEi[:len(frameEi)-1]
-			if len(frameV) > 0 {
-				if parent := frameV[len(frameV)-1]; lowlink[v] < lowlink[parent] {
-					lowlink[parent] = lowlink[v]
-				}
-			}
-			if lowlink[v] == index[v] {
-				var scc []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = len(sccs)
-					scc = append(scc, w)
-					if w == v {
-						break
-					}
-				}
-				sccs = append(sccs, scc)
-			}
-		}
-	}
-	var closed [][]int
-	for ci, scc := range sccs {
-		open := false
-		for _, v := range scc {
-			for _, w := range adj[v] {
-				if comp[w] != ci {
-					open = true
-					break
-				}
-			}
-			if open {
-				break
-			}
-		}
-		if !open {
-			closed = append(closed, scc)
-		}
-	}
-	return closed
-}
-
 // Stable reports whether the QBD is positive recurrent (mean drift strictly
 // downward).
 func (p *Process) Stable() (bool, error) {
@@ -330,58 +234,44 @@ func (p *Process) Stable() (bool, error) {
 	return up < down, nil
 }
 
-// gWS computes the first-passage matrix G — entry (i,j) is the probability
-// that the process, started in phase i of level n+1, first enters level n in
-// phase j — by cyclic reduction on the uniformized chain. ws optionally
-// supplies the reduction's scratch buffers and o optionally receives the
-// per-iteration convergence trace (nil is valid for both). It also returns
-// the iteration count and the final residual for convergence reporting.
-func (p *Process) gWS(ws *mat.Workspace, o obs.Observer) (*mat.Matrix, int, float64, error) {
-	// Uniformize: the diagonal lives in A1.
-	theta := 0.0
-	for i := 0; i < p.order; i++ {
-		if d := -p.a1.At(i, i); d > theta {
-			theta = d
-		}
-	}
-	if theta == 0 {
-		return nil, 0, 0, fmt.Errorf("%w: zero generator", ErrInvalid)
-	}
-	theta *= 1 + 1e-12
-	m := p.order
-	b0 := ws.MatrixUninit(m, m).ScaleInto(p.a0, 1/theta)
-	b1 := ws.MatrixUninit(m, m).ScaleInto(p.a1, 1/theta)
-	for i := 0; i < m; i++ {
-		b1.Add(i, i, 1)
-	}
-	b2 := ws.MatrixUninit(m, m).ScaleInto(p.a2, 1/theta)
-	g, iters, residual, err := cyclicReductionObs(b0, b1, b2, ws, o, p.workers)
-	ws.Release(b0, b1, b2)
-	return g, iters, residual, err
-}
-
 // R computes the rate matrix R, the minimal nonnegative solution of
 // A0 + R·A1 + R²·A2 = 0, via R = A0·(−(A1 + A0·G))⁻¹. The spectral radius of
 // R is < 1 exactly when the process is stable.
-func (p *Process) R() (*mat.Matrix, error) { return p.rWS(nil, nil) }
+func (p *Process) R() (*mat.Matrix, error) {
+	r, _, err := p.rWS(nil, nil)
+	return r, err
+}
 
 // rWS is R with an optional workspace for every intermediate and an optional
-// observer receiving the convergence trace plus a completion report with
-// sp(R) (nil is valid for both; with a nil observer no timing or spectral-
-// radius work runs).
-func (p *Process) rWS(ws *mat.Workspace, o obs.Observer) (*mat.Matrix, error) {
+// observer receiving the convergence trace plus a completion report (nil is
+// valid for both; with a nil observer no reports are made). It also returns
+// sp(R), the largest spectral radius of R's diagonal phase blocks.
+func (p *Process) rWS(ws *mat.Workspace, o obs.Observer) (*mat.Matrix, float64, error) {
 	stable, err := p.Stable()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if !stable {
 		up, down, _ := p.Drift()
-		return nil, fmt.Errorf("%w: upward drift %.6g >= downward drift %.6g", ErrUnstable, up, down)
+		return nil, 0, fmt.Errorf("%w: upward drift %.6g >= downward drift %.6g", ErrUnstable, up, down)
 	}
 	g, iters, residual, err := p.gWS(ws, o)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	r, err := p.rFromG(g, ws)
+	if err != nil {
+		return nil, 0, err
+	}
+	sp := p.spectralRadius(r, ws)
+	if o != nil {
+		o.RSolved(iters, residual, sp)
+	}
+	return r, sp, nil
+}
+
+// rFromG forms R = A0·(−(A1 + A0·G))⁻¹ from G, which it releases to ws.
+func (p *Process) rFromG(g *mat.Matrix, ws *mat.Workspace) (*mat.Matrix, error) {
 	m := p.order
 	sA0, _ := p.sparseBlocks()
 	u := ws.MatrixUninit(m, m)
@@ -419,8 +309,39 @@ func (p *Process) rWS(ws *mat.Workspace, o obs.Observer) (*mat.Matrix, error) {
 			}
 		}
 	}
-	if o != nil {
-		o.RSolved(iters, residual, mat.SpectralRadius(r, 1e-12, 10000))
-	}
 	return r, nil
+}
+
+// spectralRadius returns sp(R) as the largest sp(R_bb) over the diagonal
+// phase blocks — R is block upper triangular, so its eigenvalues are theirs.
+// Blocks of order one and two take the closed form; larger ones take power
+// iteration on the block alone.
+func (p *Process) spectralRadius(r *mat.Matrix, ws *mat.Workspace) float64 {
+	sp := 0.0
+	for b := 0; b+1 < len(p.start); b++ {
+		ph := p.perm[p.start[b]:p.start[b+1]]
+		var rho float64
+		switch len(ph) {
+		case 1:
+			rho = r.At(ph[0], ph[0])
+		case 2:
+			// The eigenvalues of a nonnegative 2×2 block are real:
+			// (a+d)/2 ± √(((a−d)/2)² + b·c).
+			a, d := r.At(ph[0], ph[0]), r.At(ph[1], ph[1])
+			h := (a - d) / 2
+			rho = (a+d)/2 + math.Sqrt(h*h+r.At(ph[0], ph[1])*r.At(ph[1], ph[0]))
+		default:
+			sub := ws.MatrixUninit(len(ph), len(ph))
+			for i, pi := range ph {
+				row := sub.RowView(i)
+				for j, pj := range ph {
+					row[j] = r.At(pi, pj)
+				}
+			}
+			rho = mat.SpectralRadius(sub, 1e-12, 10000)
+			ws.Release(sub)
+		}
+		sp = max(sp, rho)
+	}
+	return sp
 }

@@ -194,7 +194,7 @@ func benchSuiteWorkers(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuiteWorkers(workers)
+		s := experiments.NewSuite(workers, nil)
 		for _, run := range []func() (experiments.Result, error){
 			s.Figure5, s.Figure6, s.Figure7, s.Figure8,
 		} {

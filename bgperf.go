@@ -152,12 +152,7 @@ func NewModel(cfg Config, opts ...Option) (*Model, error) {
 	if err := ctxErr(o.ctx); err != nil {
 		return nil, err
 	}
-	m, err := core.NewModel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.SetWorkers(o.workers)
-	return m, nil
+	return core.NewModel(cfg)
 }
 
 // Solve builds and solves the model in one call. With WithObserver it
@@ -176,7 +171,6 @@ func Solve(cfg Config, opts ...Option) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.SetWorkers(o.workers)
 	return m.SolveObserved(o.observer)
 }
 

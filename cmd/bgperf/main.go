@@ -280,7 +280,7 @@ func cmdPlan(args []string, out io.Writer) error {
 		tol       = fs.Float64("tol", 0, "convergence tolerance of the continuous searches (0 = planner default)")
 		maxIter   = fs.Int("maxiter", 0, "bisection iteration bound (0 = planner default)")
 		tracePath = fs.String("trace", "", "fit the arrival process from this NDJSON trace instead of -workload")
-		workers   = fs.Int("workers", 0, "max goroutines for the sensitivity neighborhood and for the block-row multiplies inside every solve (0 = all cores for the neighborhood, serial multiplies)")
+		workers   = fs.Int("workers", 0, "max goroutines for the sensitivity neighborhood (0 = all cores); results are identical for every setting")
 		asJSON    = fs.Bool("json", false, "emit the plan report as JSON (byte-identical to the daemon's /v1/optimize plan object)")
 		diagPath  = fs.String("diag", "", "write a JSON diagnostics report (stage timings across every search solve) to this file")
 	)
@@ -706,6 +706,9 @@ func cmdCheck(args []string, out io.Writer) error {
 	}
 	if *reps < 2 {
 		return fmt.Errorf("reps must be >= 2 (confidence intervals need replication)")
+	}
+	if *workers < 0 {
+		return fmt.Errorf("workers must be >= 0")
 	}
 	var diag *obs.Diagnostics
 	if *diagPath != "" {

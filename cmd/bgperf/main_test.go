@@ -426,4 +426,7 @@ func TestCheckCommand(t *testing.T) {
 	if _, err := runCmd(t, "check", "-reps", "1"); err == nil {
 		t.Error("reps=1 accepted")
 	}
+	if _, err := runCmd(t, "check", "-workers", "-1"); err == nil {
+		t.Error("workers=-1 accepted")
+	}
 }

@@ -76,6 +76,9 @@ func run(args []string, logw io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *workers < 0 {
+		return fmt.Errorf("workers must be >= 0")
+	}
 	var peerList []string
 	if *peers != "" {
 		for _, p := range strings.Split(*peers, ",") {

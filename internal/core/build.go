@@ -361,7 +361,6 @@ func (m *Model) qbdBlocks() (qbd.Boundary, *qbd.Process, error) {
 	if err != nil {
 		return qbd.Boundary{}, nil, fmt.Errorf("core: assembling QBD: %w", err)
 	}
-	proc.SetWorkers(m.workers)
 	return boundary, proc, nil
 }
 

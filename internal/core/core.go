@@ -396,16 +396,7 @@ type Model struct {
 	// xEff + K + 1 can still admit BG jobs, and only above that is every
 	// admission uniformly denied, making the chain level-homogeneous.
 	boundaryTop int
-
-	// workers is forwarded to the qbd.Process built by each solve.
-	workers int
 }
-
-// SetWorkers bounds the block-row fan-out of the multiplies inside the R
-// iteration for all subsequent solves on m; n <= 1 runs serially. Results
-// are bit-identical for every worker count. It must not be called
-// concurrently with a solve.
-func (m *Model) SetWorkers(n int) { m.workers = n }
 
 // NewModel validates cfg and prepares the chain builder.
 func NewModel(cfg Config) (*Model, error) {

@@ -48,19 +48,12 @@ type Suite struct {
 	soft  *sweep
 }
 
-// NewSuite returns an empty suite; sweeps are computed on first use, fanned
-// out over all cores.
-func NewSuite() *Suite { return NewSuiteWorkers(0) }
-
-// NewSuiteWorkers returns an empty suite whose sweeps fan grid points out
-// over at most workers goroutines (workers <= 0: all cores; 1: serial).
-func NewSuiteWorkers(workers int) *Suite { return NewSuiteObserved(workers, nil) }
-
-// NewSuiteObserved is NewSuiteWorkers with an optional obs.Observer that
-// every QBD solve of the cached load sweeps reports to (nil: no
-// instrumentation). The observer must tolerate concurrent calls — sweep grid
-// points solve in parallel.
-func NewSuiteObserved(workers int, o obs.Observer) *Suite {
+// NewSuite returns an empty suite; sweeps are computed on first use, their
+// grid points fanned out over at most workers goroutines (workers <= 0: all
+// cores; 1: serial). Every QBD solve of the cached load sweeps reports to
+// the optional observer o (nil: no instrumentation), which must tolerate
+// concurrent calls — sweep grid points solve in parallel.
+func NewSuite(workers int, o obs.Observer) *Suite {
 	return &Suite{workers: workers, observer: o}
 }
 

@@ -100,7 +100,7 @@ func TestFigure2Shapes(t *testing.T) {
 }
 
 func TestFigure5Shapes(t *testing.T) {
-	s := NewSuite()
+	s := NewSuite(0, nil)
 	r, err := s.Figure5()
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestFigure5Shapes(t *testing.T) {
 }
 
 func TestFigure6Shapes(t *testing.T) {
-	s := NewSuite()
+	s := NewSuite(0, nil)
 	r, err := s.Figure6()
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestFigure6Shapes(t *testing.T) {
 }
 
 func TestFigure7Shapes(t *testing.T) {
-	s := NewSuite()
+	s := NewSuite(0, nil)
 	r, err := s.Figure7()
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestFigure7Shapes(t *testing.T) {
 }
 
 func TestFigure8Shapes(t *testing.T) {
-	s := NewSuite()
+	s := NewSuite(0, nil)
 	r, err := s.Figure8()
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ const goldenPath = "testdata/figures.golden"
 // sweeps — deterministic for every worker count.
 func goldenFigures(t *testing.T) []Figure {
 	t.Helper()
-	s := NewSuite()
+	s := NewSuite(0, nil)
 	var figs []Figure
 	for _, gen := range []struct {
 		name string

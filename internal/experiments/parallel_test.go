@@ -34,8 +34,8 @@ func suiteReport(t *testing.T, s *Suite) string {
 // TestSuiteParallelDeterminism pins the tentpole guarantee: a parallel run
 // of the sweep engine produces byte-identical report output to a serial run.
 func TestSuiteParallelDeterminism(t *testing.T) {
-	serial := suiteReport(t, NewSuiteWorkers(1))
-	parallel := suiteReport(t, NewSuiteWorkers(8))
+	serial := suiteReport(t, NewSuite(1, nil))
+	parallel := suiteReport(t, NewSuite(8, nil))
 	if serial != parallel {
 		t.Fatalf("parallel suite output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
@@ -91,7 +91,7 @@ func TestValidationParallelDeterminism(t *testing.T) {
 // goroutine sees the same artifacts. Run under -race this is the concurrency
 // regression test for the old "not safe for concurrent use" Suite.
 func TestSuiteConcurrentUse(t *testing.T) {
-	s := NewSuiteWorkers(4)
+	s := NewSuite(4, nil)
 	const goroutines = 8
 	reports := make([]string, goroutines)
 	errs := make([]error, goroutines)
@@ -127,7 +127,7 @@ func TestSuiteConcurrentUse(t *testing.T) {
 		}
 	}
 	// And the shared suite still matches an independent serial suite.
-	if want := suiteReport(t, NewSuiteWorkers(1)); reports[0] != want {
+	if want := suiteReport(t, NewSuite(1, nil)); reports[0] != want {
 		t.Fatal("concurrent suite output differs from a serial suite")
 	}
 }

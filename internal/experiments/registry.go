@@ -50,7 +50,7 @@ func (o Options) withDefaults() Options {
 // sweeps reuse one Suite, so running them all solves each grid only once.
 func All(opts Options) []Generator {
 	opts = opts.withDefaults()
-	suite := NewSuiteObserved(opts.Workers, opts.Observer)
+	suite := NewSuite(opts.Workers, opts.Observer)
 	w := opts.Workers
 	return []Generator{
 		{Name: "1", Paper: "Fig. 1 — trace ACF and characteristics table",

@@ -28,13 +28,8 @@ const (
 )
 
 // mulIntoNaive is the zero-skipping triple loop for small or sparse operands.
-func mulIntoNaive(m, a, b *Matrix) { mulIntoNaiveRows(m, a, b, 0, a.rows) }
-
-// mulIntoNaiveRows is mulIntoNaive restricted to output rows [i0, i1) — the
-// unit of work the row-banded parallel multiply distributes. Each output row
-// is computed exactly as in the serial kernel, so banding never changes bits.
-func mulIntoNaiveRows(m, a, b *Matrix, i0, i1 int) {
-	for i := i0; i < i1; i++ {
+func mulIntoNaive(m, a, b *Matrix) {
+	for i := 0; i < a.rows; i++ {
 		dst := m.a[i*m.cols : (i+1)*m.cols]
 		for k := range dst {
 			dst[k] = 0
@@ -54,11 +49,6 @@ func mulIntoNaiveRows(m, a, b *Matrix, i0, i1 int) {
 
 // mulIntoBlocked is the column-tiled, 4-way k-unrolled kernel for large
 // dense operands.
-func mulIntoBlocked(m, a, b *Matrix) { mulIntoBlockedRows(m, a, b, 0, a.rows) }
-
-// mulIntoBlockedRows is mulIntoBlocked restricted to output rows [i0, i1),
-// for the row-banded parallel multiply. Per output row the arithmetic is the
-// serial kernel's, so banding never changes bits.
 //
 // Rows advance in pairs: the four b rows of each k quad are loaded once and
 // feed both output rows, halving the streamed b traffic, and the two
@@ -67,15 +57,15 @@ func mulIntoBlocked(m, a, b *Matrix) { mulIntoBlockedRows(m, a, b, 0, a.rows) }
 // ascending k order as four separate accumulations — pairing changes which
 // row computes next, never the order within a row, so results are
 // bit-identical to the single-row kernel (pinned by tests).
-func mulIntoBlockedRows(m, a, b *Matrix, i0, i1 int) {
-	inner, width := a.cols, b.cols
+func mulIntoBlocked(m, a, b *Matrix) {
+	rows, inner, width := a.rows, a.cols, b.cols
 	for jt := 0; jt < width; jt += mulBlockJ {
 		jhi := jt + mulBlockJ
 		if jhi > width {
 			jhi = width
 		}
-		i := i0
-		for ; i+1 < i1; i += 2 {
+		i := 0
+		for ; i+1 < rows; i += 2 {
 			dst0 := m.a[i*width+jt : i*width+jhi]
 			dst1 := m.a[(i+1)*width+jt : (i+1)*width+jhi]
 			for j := range dst0 {
@@ -151,7 +141,7 @@ func mulIntoBlockedRows(m, a, b *Matrix, i0, i1 int) {
 				}
 			}
 		}
-		for ; i < i1; i++ {
+		for ; i < rows; i++ {
 			dst := m.a[i*width+jt : i*width+jhi]
 			for j := range dst {
 				dst[j] = 0

@@ -1,7 +1,9 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -53,6 +55,42 @@ func TestBlockedWideOutput(t *testing.T) {
 	got := New(8, mulBlockJ+37)
 	mulIntoBlocked(got, a, b)
 	requireClose(t, got, want, 1e-15, "blocked wide output")
+}
+
+// TestMulIntoWorkersBitIdentical pins that MulInto is safe and exact under
+// concurrent callers sharing read-only operands, as concurrent solves share a
+// process's repeating blocks: each goroutine multiplies into its own
+// destination and must get the serial product bit for bit, at orders on both
+// sides of the naive/blocked kernel switch. Run under -race this also checks
+// that the kernels never write their operands.
+func TestMulIntoWorkersBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{1, 8, blockedMulMin - 1, blockedMulMin, blockedMulMin + 1, 65, 153} {
+		a := randMat(rng, n, n, 0)
+		b := randMat(rng, n, n, 0)
+		want := New(n, n)
+		want.MulInto(a, b)
+		const workers = 4
+		got := make([]*Matrix, workers)
+		var wg sync.WaitGroup
+		for w := range got {
+			got[w] = New(n, n)
+			wg.Add(1)
+			go func(dst *Matrix) {
+				defer wg.Done()
+				dst.MulInto(a, b)
+			}(got[w])
+		}
+		wg.Wait()
+		for w, g := range got {
+			for i := range g.a {
+				if math.Float64bits(g.a[i]) != math.Float64bits(want.a[i]) {
+					t.Fatalf("n=%d caller %d: element %d differs: %g vs %g",
+						n, w, i, g.a[i], want.a[i])
+				}
+			}
+		}
+	}
 }
 
 func benchmarkMulKernel(b *testing.B, n int, kernel func(dst, x, y *Matrix)) {

@@ -10,11 +10,11 @@ import "sync"
 // Usage rules:
 //
 //   - A Workspace is safe for concurrent borrowers: acquisitions and releases
-//     from multiple goroutines are serialized by an internal mutex, so the
-//     intra-solve parallel paths (block-row multiplies fanned over a worker
-//     pool) may share one workspace. Note that only the pool bookkeeping is
-//     synchronized — the buffers themselves are owned by exactly one borrower
-//     between acquisition and release, as before.
+//     from multiple goroutines are serialized by an internal mutex, so a
+//     workspace may be handed between goroutines (the process-wide pool
+//     below passes workspaces across concurrent solves). Only the pool
+//     bookkeeping is synchronized — the buffers themselves are owned by
+//     exactly one borrower between acquisition and release.
 //   - Matrix and Vector return zeroed buffers; LU returns a factorization
 //     shell ready for FactorizeInto.
 //   - Release hands a buffer back for reuse. Releasing a buffer twice, or

@@ -213,10 +213,8 @@ type Options struct {
 	Tol float64
 	// MaxIter bounds the bisection iterations; 0 means DefaultMaxIter.
 	MaxIter int
-	// Workers bounds both the block-row fan-out of the multiplies inside
-	// every solve and the goroutines of the sensitivity-neighborhood
-	// fan-out; <= 0 means serial multiplies and all cores for the
-	// neighborhood.
+	// Workers bounds the goroutines of the sensitivity-neighborhood
+	// fan-out; <= 0 means all cores. Every solve runs serially.
 	Workers int
 	// Observer optionally receives the diagnostics of every forward solve
 	// the search performs.
@@ -454,7 +452,6 @@ func evalAt(cfg core.Config, slo SLO, opts Options, val float64) (core.Metrics, 
 	if err != nil {
 		return core.Metrics{}, false, err
 	}
-	model.SetWorkers(opts.Workers)
 	sol, err := model.SolveObserved(opts.Observer)
 	if err != nil {
 		if errors.Is(err, qbd.ErrUnstable) {

@@ -280,7 +280,7 @@ func (p *Process) gWS(ws *mat.Workspace, o obs.Observer) (*mat.Matrix, int, floa
 	maxIters := 0
 	for b := nb - 1; b >= 0; b-- {
 		s, e := p.blockRange(b)
-		gbb, iters, err := diagonalG(a0, a1, a2, s, e, ws, trace, p.workers)
+		gbb, iters, err := diagonalG(a0, a1, a2, s, e, ws, trace)
 		if o != nil && (iters > maxIters || err != nil) {
 			trace, best = best, trace
 		}
@@ -338,7 +338,7 @@ func emitTrace(o obs.Observer, trace []float64, n int) {
 // uniformized by the block's own largest exit rate. Rates leaving the block
 // make its chain substochastic, which cyclic reduction handles as it does a
 // transient chain. The result is drawn from ws.
-func diagonalG(a0, a1, a2 *mat.Matrix, s, e int, ws *mat.Workspace, trace []float64, workers int) (*mat.Matrix, int, error) {
+func diagonalG(a0, a1, a2 *mat.Matrix, s, e int, ws *mat.Workspace, trace []float64) (*mat.Matrix, int, error) {
 	theta := 0.0
 	for i := s; i < e; i++ {
 		if d := -a1.At(i, i); d > theta {
@@ -362,7 +362,7 @@ func diagonalG(a0, a1, a2 *mat.Matrix, s, e int, ws *mat.Workspace, trace []floa
 		}
 		d1[r]++
 	}
-	g, iters, err := cyclicReductionObs(b0, b1, b2, ws, trace, workers)
+	g, iters, err := cyclicReductionObs(b0, b1, b2, ws, trace)
 	ws.Release(b0, b1, b2)
 	return g, iters, err
 }

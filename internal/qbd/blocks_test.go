@@ -179,7 +179,7 @@ func TestObserverReportsLongestBlock(t *testing.T) {
 	for blk := 0; blk+1 < len(p.start); blk++ {
 		s, e := p.blockRange(blk)
 		trace := make([]float64, maxCRIter)
-		_, iters, err := diagonalG(a0, a1, a2, s, e, nil, trace, 1)
+		_, iters, err := diagonalG(a0, a1, a2, s, e, nil, trace)
 		if err != nil {
 			t.Fatal(err)
 		}

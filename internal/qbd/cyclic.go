@@ -7,12 +7,6 @@ import (
 	"bgperf/internal/mat"
 )
 
-// SetWorkers bounds the goroutine fan-out of the block-row-banded matrix
-// multiplies inside the R iteration for all subsequent solves on p; n <= 1
-// runs serially. Results are bit-identical for every worker count (pinned by
-// tests). It must not be called concurrently with a solve.
-func (p *Process) SetWorkers(n int) { p.workers = n }
-
 // MulBudget returns the exact number of MulCount-visible matrix products a
 // convergent cyclic-reduction run performs over iters iterations — the op
 // budget the regression tests pin so accidental extra products in the
@@ -38,8 +32,7 @@ const maxCRIter = 200
 // After newCRState, step performs zero heap allocations (pinned by
 // TestCyclicReductionStepZeroAlloc).
 type crState struct {
-	ws      *mat.Workspace
-	workers int
+	ws *mat.Workspace
 
 	id      *mat.Matrix // I, fixed
 	down    *mat.Matrix // A₋₁ iterate (level-down block)
@@ -60,10 +53,9 @@ type crState struct {
 
 // newCRState acquires the working set for order-m blocks from ws (nil ws
 // allocates directly).
-func newCRState(m int, ws *mat.Workspace, workers int) *crState {
+func newCRState(m int, ws *mat.Workspace) *crState {
 	return &crState{
-		ws:      ws,
-		workers: workers,
+		ws: ws,
 		// Every buffer but the identity is fully overwritten before its first
 		// read (start clones the inputs; the solve and product targets are
 		// pure destinations), so the working set skips acquisition zeroing.
@@ -114,14 +106,14 @@ func (s *crState) step() (done bool, err error) {
 	}
 	s.lu.SolveMatInto(s.t1, s.down)
 	s.lu.SolveMatInto(s.t2, s.up)
-	mat.MulIntoWorkers(s.scratch, s.up, s.t1, s.workers) // up·S·down
+	s.scratch.MulInto(s.up, s.t1) // up·S·down
 	s.local.AddInPlace(s.scratch)
 	s.hat.AddInPlace(s.scratch)
-	mat.MulIntoWorkers(s.scratch, s.down, s.t2, s.workers) // down·S·up
+	s.scratch.MulInto(s.down, s.t2) // down·S·up
 	s.local.AddInPlace(s.scratch)
-	mat.MulIntoWorkers(s.scratch, s.down, s.t1, s.workers) // down·S·down
+	s.scratch.MulInto(s.down, s.t1) // down·S·down
 	s.down, s.scratch = s.scratch, s.down
-	mat.MulIntoWorkers(s.scratch, s.up, s.t2, s.workers) // up·S·up
+	s.scratch.MulInto(s.up, s.t2) // up·S·up
 	s.up, s.scratch = s.scratch, s.up
 	s.residual = math.Min(s.infNorm(s.down), s.infNorm(s.up))
 	return s.residual < crTol, nil
@@ -143,17 +135,15 @@ func (s *crState) infNorm(m *mat.Matrix) float64 {
 // blocks (b0 up, b1 local, b2 down), returning G and the iteration count the
 // op-budget regression tests pin (MulBudget(iters) products).
 func cyclicReduction(b0, b1, b2 *mat.Matrix) (*mat.Matrix, int, error) {
-	return cyclicReductionObs(b0, b1, b2, nil, nil, 1)
+	return cyclicReductionObs(b0, b1, b2, nil, nil)
 }
 
 // cyclicReductionObs is cyclicReduction drawing its working set from ws (nil
 // ws allocates), recording the residual min(‖up‖∞, ‖down‖∞) of iteration k
 // in trace[k-1] (nil trace records nothing; otherwise it needs maxCRIter
-// entries), and fanning its block-row multiplies over workers goroutines
-// (<= 1 serial; results are bit-identical for every worker count). The
-// returned G is drawn from ws but not handed back to it.
-func cyclicReductionObs(b0, b1, b2 *mat.Matrix, ws *mat.Workspace, trace []float64, workers int) (g *mat.Matrix, iters int, err error) {
-	s := newCRState(b0.Rows(), ws, workers)
+// entries). The returned G is drawn from ws but not handed back to it.
+func cyclicReductionObs(b0, b1, b2 *mat.Matrix, ws *mat.Workspace, trace []float64) (g *mat.Matrix, iters int, err error) {
+	s := newCRState(b0.Rows(), ws)
 	defer s.release()
 	s.start(b0, b1, b2)
 	for iter := 0; iter < maxCRIter; iter++ {

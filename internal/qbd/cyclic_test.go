@@ -2,6 +2,7 @@ package qbd
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"bgperf/internal/mat"
@@ -81,7 +82,7 @@ func TestCyclicReductionStepZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	b0, b1, b2 := dtmcBlocks()
-	s := newCRState(b0.Rows(), nil, 1)
+	s := newCRState(b0.Rows(), nil)
 	s.start(b0, b1, b2)
 	// A converged state keeps iterating harmlessly (up and down shrink
 	// toward zero), so AllocsPerRun can re-run step on the same state.
@@ -154,10 +155,12 @@ func TestROracleAgreement(t *testing.T) {
 	}
 }
 
-// TestWorkersBitIdentical pins the determinism contract of intra-solve
-// parallelism: R computed with a fanned-out worker pool is bit-for-bit the
-// serial result. Run under -race (the CI race job) this also exercises the
-// concurrent use of the shared workspace and the disjoint row-band writes.
+// TestWorkersBitIdentical pins the determinism of concurrent solves: four
+// goroutines solving R on one Process at once, each on a workspace drawn
+// from the shared pool, must each get the serial R bit for bit. Run under
+// -race (the CI parallel-path step) this also exercises the process's lazy
+// drift and sparse-snapshot initialization and the pooled workspaces
+// changing hands between solves.
 func TestWorkersBitIdentical(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -171,17 +174,31 @@ func TestWorkersBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pPar := c.build(t)
-			pPar.SetWorkers(4)
-			rPar, err := pPar.R()
-			if err != nil {
-				t.Fatal(err)
+			shared := c.build(t)
+			const workers = 4
+			rs := make([]*mat.Matrix, workers)
+			errs := make([]error, workers)
+			var wg sync.WaitGroup
+			for w := range rs {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					ws := mat.AcquireWorkspace()
+					defer mat.ReleaseWorkspace(ws)
+					rs[w], _, errs[w] = shared.rWS(ws, nil)
+				}(w)
 			}
-			for i := 0; i < rSerial.Rows(); i++ {
-				for j := 0; j < rSerial.Cols(); j++ {
-					s, p := rSerial.At(i, j), rPar.At(i, j)
-					if math.Float64bits(s) != math.Float64bits(p) {
-						t.Fatalf("R(%d,%d) differs across worker counts: %g vs %g", i, j, s, p)
+			wg.Wait()
+			for w, rPar := range rs {
+				if errs[w] != nil {
+					t.Fatal(errs[w])
+				}
+				for i := 0; i < rSerial.Rows(); i++ {
+					for j := 0; j < rSerial.Cols(); j++ {
+						s, p := rSerial.At(i, j), rPar.At(i, j)
+						if math.Float64bits(s) != math.Float64bits(p) {
+							t.Fatalf("solve %d: R(%d,%d) differs from the serial solve: %g vs %g", w, i, j, s, p)
+						}
 					}
 				}
 			}

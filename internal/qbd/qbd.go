@@ -50,10 +50,6 @@ type Process struct {
 	driftUp, driftDown float64
 	driftErr           error
 
-	// workers bounds the block-row fan-out of the multiplies inside the R
-	// iteration; the zero value runs serially.
-	workers int
-
 	// The phase blocks G and R are solved by (see blocks.go): perm lists
 	// the phases block by block, block b spans perm[start[b]:start[b+1]],
 	// and identityPerm reports that perm is the original phase order.

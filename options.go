@@ -74,10 +74,10 @@ func WithContext(ctx context.Context) Option {
 }
 
 // WithWorkers bounds the goroutine pool of parallel operations to n workers:
-// the replication sweep of SimulateReplications, and the block-row-banded
-// matrix multiplies inside the analytic solves (Solve, NewModel).
-// n <= 0 means all cores for simulation and serial multiplies for the
-// analytic path. Results are bit-identical for every worker count.
+// the replication sweep of SimulateReplications and the sensitivity
+// neighborhood of the capacity planners (Plan, PlanFromTrace). n <= 0 means
+// all cores. Each analytic solve runs serially; results are bit-identical
+// for every worker count.
 func WithWorkers(n int) Option {
 	return func(c *callOpts) { c.workers = n }
 }

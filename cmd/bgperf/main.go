@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"bgperf"
 	"bgperf/internal/arrival"
@@ -76,26 +75,6 @@ func run(args []string, out io.Writer) error {
 		return cmdCheck(args[1:], out)
 	default:
 		return fmt.Errorf("unknown subcommand %q (want solve | plan | sim | trace | fit | acf | multi | transient | check)", args[0])
-	}
-}
-
-// workloadByName resolves a catalog workload.
-func workloadByName(name string) (*arrival.MAP, error) {
-	switch strings.ToLower(name) {
-	case "email":
-		return workload.Email()
-	case "softdev", "software-development":
-		return workload.SoftwareDevelopment()
-	case "useraccounts", "user-accounts":
-		return workload.UserAccounts()
-	case "email-lowacf":
-		return workload.EmailLowACF()
-	case "email-ipp":
-		return workload.EmailIPP()
-	case "poisson":
-		return workload.EmailPoisson()
-	default:
-		return nil, fmt.Errorf("unknown workload %q (want email | softdev | useraccounts | email-lowacf | email-ipp | poisson)", name)
 	}
 }
 
@@ -414,23 +393,7 @@ func cmdSim(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	simCfg := bgperf.SimConfig{
-		Arrival:      cfg.Arrival,
-		ServiceRate:  cfg.ServiceRate,
-		Service:      cfg.Service,
-		BGProb:       cfg.BGProb,
-		BGBuffer:     cfg.BGBuffer,
-		IdleRate:     cfg.IdleRate,
-		IdleWait:     cfg.IdleWait,
-		IdlePolicy:   cfg.IdlePolicy,
-		ModFactor:    cfg.ModFactor,
-		BGAdmit:      cfg.BGAdmit,
-		FGThreshold:  cfg.FGThreshold,
-		DeadlineRate: cfg.DeadlineRate,
-		Seed:         *seed,
-		WarmupTime:   *simTime / 20,
-		MeasureTime:  *simTime,
-	}
+	simCfg := check.SimConfig(cfg, *seed, *simTime/20, *simTime)
 	if *detIdle {
 		simCfg.IdleDist = bgperf.IdleDeterministic
 	}
@@ -498,7 +461,7 @@ func cmdTrace(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := workloadByName(*name)
+	m, err := workload.ByName(*name)
 	if err != nil {
 		return err
 	}
@@ -565,7 +528,7 @@ func cmdACF(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := workloadByName(*name)
+	m, err := workload.ByName(*name)
 	if err != nil {
 		return err
 	}
@@ -594,7 +557,7 @@ func cmdMulti(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := workloadByName(*name)
+	m, err := workload.ByName(*name)
 	if err != nil {
 		return err
 	}

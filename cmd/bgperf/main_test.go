@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bgperf/internal/trace"
+	"bgperf/internal/workload"
 )
 
 func runCmd(t *testing.T, args ...string) (string, error) {
@@ -116,7 +117,7 @@ func TestPlanInfeasible(t *testing.T) {
 func TestPlanTrace(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.ndjson")
-	m, err := workloadByName("email")
+	m, err := workload.ByName("email")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestACFErrors(t *testing.T) {
 
 func TestWorkloadByNameAll(t *testing.T) {
 	for _, name := range []string{"email", "softdev", "useraccounts", "email-lowacf", "email-ipp", "poisson", "Email", "SOFTDEV"} {
-		if _, err := workloadByName(name); err != nil {
+		if _, err := workload.ByName(name); err != nil {
 			t.Errorf("workload %q: %v", name, err)
 		}
 	}

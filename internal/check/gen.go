@@ -139,7 +139,9 @@ func (g *Generator) Next() Case {
 }
 
 // SimConfig translates an analytic configuration into the equivalent
-// simulation configuration with the given seed and measurement windows.
+// simulation configuration with the given seed and measurement windows. It
+// copies every core.Config model field, so it is the one translation the
+// conformance harness and the bgperf sim command share.
 func SimConfig(cfg core.Config, seed int64, warmup, measure float64) sim.Config {
 	return sim.Config{
 		Arrival:      cfg.Arrival,
@@ -148,6 +150,8 @@ func SimConfig(cfg core.Config, seed int64, warmup, measure float64) sim.Config 
 		ServiceMAP:   cfg.ServiceMAP,
 		BGProb:       cfg.BGProb,
 		BGBuffer:     cfg.BGBuffer,
+		BG2Prob:      cfg.BG2Prob,
+		BG2Buffer:    cfg.BG2Buffer,
 		IdleRate:     cfg.IdleRate,
 		IdleWait:     cfg.IdleWait,
 		IdlePolicy:   cfg.IdlePolicy,

@@ -203,39 +203,15 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// t95 holds two-sided 95% Student-t critical values for 1..30 degrees of
-// freedom; beyond that the normal value is close enough.
-var t95 = []float64{
-	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
-	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
-}
-
 // replicationHalfWidth is the ±half-width of a 95% Student-t confidence
-// interval on the across-replication mean of the given metric. sim exports
-// half-widths only for the headline queue lengths; the conformance harness
-// needs them for WaitPFG and CompBG too, so it derives them from the compact
-// per-replication metric rows (populated at any replication count, unlike
-// the full Replications slice).
+// interval on the across-replication mean of the given metric, or 0 below two
+// replications. sim exports half-widths only for the headline queue lengths;
+// the conformance harness needs them for WaitPFG and CompBG too, so it
+// derives them from the compact per-replication metric rows (populated at any
+// replication count, unlike the full Replications slice).
 func replicationHalfWidth(agg *sim.ReplicationResult, get func(core.Metrics) float64) float64 {
-	n := len(agg.RepMetrics)
-	if n < 2 {
+	if len(agg.RepMetrics) < 2 {
 		return 0
 	}
-	var mean float64
-	for _, m := range agg.RepMetrics {
-		mean += get(m)
-	}
-	mean /= float64(n)
-	var ss float64
-	for _, m := range agg.RepMetrics {
-		d := get(m) - mean
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / float64(n-1))
-	t := 1.96
-	if df := n - 1; df <= len(t95) {
-		t = t95[df-1]
-	}
-	return t * sd / math.Sqrt(float64(n))
+	return sim.HalfWidth95(agg.RepMetrics, func(m *core.Metrics) float64 { return get(*m) })
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -8,10 +9,10 @@ import (
 )
 
 // TestBlockedMatchesNaive compares mulIntoBlocked against mulIntoNaive
-// directly at sizes straddling blockedMulMin, including rectangular shapes
-// and sparse operands. The blocked kernel accumulates each output element in
-// the same k-ascending order as the naive one, so the results must agree to
-// 1e-15 (in practice bit-for-bit).
+// directly at sizes straddling blockedMulMin, including rectangular shapes,
+// sparse operands and the largest operand order any benchmark solves (202).
+// The blocked kernel accumulates each output element in the same k-ascending
+// order as the naive one, so the results must be equal (tolerance 0).
 func TestBlockedMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	shapes := []struct{ m, k, n int }{
@@ -22,9 +23,13 @@ func TestBlockedMatchesNaive(t *testing.T) {
 		{25, 25, 25},
 		{40, 40, 40},
 		{64, 64, 64},
-		{23, 25, 24}, // straddles the threshold in every dimension
-		{30, 7, 50},  // short inner dimension exercises the k tail loop
-		{5, 60, 33},  // long inner dimension, many unrolled k quads
+		{23, 25, 24},    // straddles the threshold in every dimension
+		{30, 7, 50},     // short inner dimension exercises the k tail loop
+		{5, 60, 33},     // long inner dimension, many unrolled k quads
+		{1, 30, 30},     // a single output row
+		{3, 24, 24},     // odd row count at the threshold
+		{8, 16, 293},    // output row wider than any solver operand
+		{202, 202, 202}, // the largest boundary level a benchmark solves
 	}
 	for _, sh := range shapes {
 		for _, sparsity := range []float64{0, 0.4, 0.95} {
@@ -34,27 +39,29 @@ func TestBlockedMatchesNaive(t *testing.T) {
 			mulIntoNaive(want, a, b)
 			got := New(sh.m, sh.n)
 			mulIntoBlocked(got, a, b)
-			requireClose(t, got, want, 1e-15, "blocked vs naive")
+			requireClose(t, got, want, 0, "blocked vs naive")
 
 			// And through the public dispatching entry point.
 			pub := New(sh.m, sh.n)
 			pub.MulInto(a, b)
-			requireClose(t, pub, want, 1e-15, "MulInto dispatch")
+			requireClose(t, pub, want, 0, "MulInto dispatch")
 		}
 	}
 }
 
-// TestBlockedWideOutput exercises output widths beyond one j-tile so the
-// tiling loop itself runs more than once.
+// TestBlockedWideOutput exercises an output row wider than any solver
+// operand, so the kernel's single pass over the output columns is checked
+// well past the widths the solver produces.
 func TestBlockedWideOutput(t *testing.T) {
+	const width = 293
 	rng := rand.New(rand.NewSource(23))
 	a := randMat(rng, 8, 16, 0.1)
-	b := randMat(rng, 16, mulBlockJ+37, 0.1)
-	want := New(8, mulBlockJ+37)
+	b := randMat(rng, 16, width, 0.1)
+	want := New(8, width)
 	mulIntoNaive(want, a, b)
-	got := New(8, mulBlockJ+37)
+	got := New(8, width)
 	mulIntoBlocked(got, a, b)
-	requireClose(t, got, want, 1e-15, "blocked wide output")
+	requireClose(t, got, want, 0, "blocked wide output")
 }
 
 // TestMulIntoWorkersBitIdentical pins that MulInto is safe and exact under
@@ -110,11 +117,22 @@ func BenchmarkMulIntoBlocked64(b *testing.B)  { benchmarkMulKernel(b, 64, mulInt
 func BenchmarkMulIntoNaive128(b *testing.B)   { benchmarkMulKernel(b, 128, mulIntoNaive) }
 func BenchmarkMulIntoBlocked128(b *testing.B) { benchmarkMulKernel(b, 128, mulIntoBlocked) }
 
-func BenchmarkInverseInto64(b *testing.B) {
+// BenchmarkMulIntoSizes times MulInto on dense operands from the blocked
+// kernel's threshold (24) through the level orders of buffers X = 10 (42),
+// X = 20 (82) and X = 50 (202, the largest any benchmark solves).
+func BenchmarkMulIntoSizes(b *testing.B) {
+	for _, n := range []int{24, 44, 82, 202} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchmarkMulKernel(b, n, (*Matrix).MulInto)
+		})
+	}
+}
+
+func benchmarkInverseInto(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(31))
-	a := diagDominant(rng, 64)
-	f := NewLU(64)
-	dst := New(64, 64)
+	a := diagDominant(rng, n)
+	f := NewLU(n)
+	dst := New(n, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -122,5 +140,18 @@ func BenchmarkInverseInto64(b *testing.B) {
 			b.Fatal(err)
 		}
 		f.InverseInto(dst)
+	}
+}
+
+func BenchmarkInverseInto64(b *testing.B) { benchmarkInverseInto(b, 64) }
+
+// BenchmarkInverseIntoSizes times factorization plus inverse at an order
+// inside one 32-column substitution tile (20, near the paper grid's 22) and
+// at orders spanning two and three tiles (44, 82).
+func BenchmarkInverseIntoSizes(b *testing.B) {
+	for _, n := range []int{20, 44, 82} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchmarkInverseInto(b, n)
+		})
 	}
 }

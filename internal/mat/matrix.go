@@ -275,8 +275,8 @@ func (m *Matrix) Mul(n *Matrix) *Matrix {
 }
 
 // MulInto computes a·b into the receiver, which must have matching shape and
-// must not alias a or b. Large products take a cache-blocked, 4-way-unrolled
-// kernel (see kernels.go); small ones keep the zero-skipping naive kernel.
+// must not alias a or b. Large products take a 4-way k-unrolled kernel (see
+// kernels.go); small ones keep the zero-skipping naive kernel.
 // Both paths apply the per-element additions in the same k order, so results
 // are identical regardless of which kernel runs.
 func (m *Matrix) MulInto(a, b *Matrix) {

@@ -159,8 +159,8 @@ func (f *LU) SolveVecInto(dst, b []float64) []float64 {
 		dst[i] -= s
 	}
 	// Back substitution with U, accumulating in descending j order — the
-	// direction the row-paired tile kernel shares its streamed x rows in, so
-	// vector and tiled solves stay bit-identical.
+	// order substituteTile subtracts in, so vector and tiled solves stay
+	// bit-identical.
 	for i := n - 1; i >= 0; i-- {
 		row := f.lu.a[i*n : (i+1)*n]
 		s := dst[i]
@@ -227,13 +227,14 @@ const solveTileWidth = 32
 
 // substituteTile runs forward and back substitution on one column tile of the
 // right-hand-side matrix x (already permuted), in place. Per column the
-// arithmetic is exactly SolveVecInto's: the inner products accumulate into a
-// separate accumulator — ascending j in the forward pass, descending j in the
-// back pass, the directions that let each pass pair rows — so a tiled solve
-// is bit-identical to a column-by-column solve. Like the blocked multiply
-// kernel, the j loop advances four source rows per pass — as four separate
-// in-order accumulations, never one reassociated sum — so the per-row slice
-// and loop bookkeeping amortizes without changing any bits.
+// arithmetic is exactly SolveVecInto's: the forward inner products accumulate
+// in ascending j into a separate accumulator, and the back substitution
+// subtracts in descending j, so a tiled solve is bit-identical to a
+// column-by-column solve. Like the blocked multiply kernel, the j loop
+// advances four source rows per pass — as four separate in-order
+// accumulations, never one reassociated sum — so the per-row slice and loop
+// bookkeeping amortizes without changing any bits, and a group of four zero
+// factor entries is skipped.
 func (f *LU) substituteTile(x *Matrix, j0, j1 int) { f.substituteTileFrom(x, j0, j1, 0) }
 
 // substituteTileFrom is substituteTile for a tile whose permuted right-hand
@@ -247,109 +248,14 @@ func (f *LU) substituteTile(x *Matrix, j0, j1 int) { f.substituteTileFrom(x, j0,
 func (f *LU) substituteTileFrom(x *Matrix, j0, j1, start int) {
 	n := f.lu.rows
 	width := x.cols
-	var acc, acc1 [solveTileWidth]float64
-	t := j1 - j0
-	// Forward substitution with unit lower-triangular L. Rows advance in
-	// pairs (i, i+1): the shared prefix j < i streams each x row once for
-	// both accumulator chains; row i then finishes, and row i+1 applies its
-	// j = i term — the last index of its ascending-j sequence — against the
-	// freshly solved x[i] before finishing. Quad grouping and pairing only
-	// change which row accumulates next, never the per-row ascending order,
-	// so the result is bit-identical to the single-row substitution.
-	i := start + 1
-	for ; i+1 < n; i += 2 {
-		row0 := f.lu.a[i*n : i*n+i]
-		row1 := f.lu.a[(i+1)*n : (i+1)*n+i+1]
-		for c := 0; c < t; c++ {
-			acc[c] = 0
-			acc1[c] = 0
-		}
-		j := start
-		for ; j+3 < i; j += 4 {
-			v00, v01, v02, v03 := row0[j], row0[j+1], row0[j+2], row0[j+3]
-			v10, v11, v12, v13 := row1[j], row1[j+1], row1[j+2], row1[j+3]
-			zero0 := v00 == 0 && v01 == 0 && v02 == 0 && v03 == 0
-			zero1 := v10 == 0 && v11 == 0 && v12 == 0 && v13 == 0
-			if zero0 && zero1 {
-				continue
-			}
-			x0 := x.a[j*width+j0 : j*width+j1]
-			x1 := x.a[(j+1)*width+j0 : (j+1)*width+j1]
-			x2 := x.a[(j+2)*width+j0 : (j+2)*width+j1]
-			x3 := x.a[(j+3)*width+j0 : (j+3)*width+j1]
-			// Reslicing the accumulators to the tile length lets the compiler
-			// drop the per-access bounds checks inside the hot loops.
-			a0s, a1s := acc[:len(x0)], acc1[:len(x0)]
-			switch {
-			case zero1:
-				for c := range x0 {
-					a := a0s[c]
-					a += v00 * x0[c]
-					a += v01 * x1[c]
-					a += v02 * x2[c]
-					a += v03 * x3[c]
-					a0s[c] = a
-				}
-			case zero0:
-				for c := range x0 {
-					a := a1s[c]
-					a += v10 * x0[c]
-					a += v11 * x1[c]
-					a += v12 * x2[c]
-					a += v13 * x3[c]
-					a1s[c] = a
-				}
-			default:
-				for c := range x0 {
-					a0 := a0s[c]
-					a0 += v00 * x0[c]
-					a0 += v01 * x1[c]
-					a0 += v02 * x2[c]
-					a0 += v03 * x3[c]
-					a0s[c] = a0
-					a1 := a1s[c]
-					a1 += v10 * x0[c]
-					a1 += v11 * x1[c]
-					a1 += v12 * x2[c]
-					a1 += v13 * x3[c]
-					a1s[c] = a1
-				}
-			}
-		}
-		for ; j < i; j++ {
-			v0, v1 := row0[j], row1[j]
-			if v0 == 0 && v1 == 0 {
-				continue
-			}
-			xrow := x.a[j*width+j0 : j*width+j1]
-			if v0 != 0 {
-				for c, xv := range xrow {
-					acc[c] += v0 * xv
-				}
-			}
-			if v1 != 0 {
-				for c, xv := range xrow {
-					acc1[c] += v1 * xv
-				}
-			}
-		}
-		dst := x.a[i*width+j0 : i*width+j1]
-		for c := range dst {
-			dst[c] -= acc[c]
-		}
-		if v := row1[i]; v != 0 {
-			for c, xv := range dst {
-				acc1[c] += v * xv
-			}
-		}
-		dst1 := x.a[(i+1)*width+j0 : (i+1)*width+j1]
-		for c := range dst1 {
-			dst1[c] -= acc1[c]
-		}
-	}
-	for ; i < n; i++ {
+	// Every tile row below is resliced to len(acc), so the compiler can prove
+	// each access in the hot loops in bounds and drops the checks.
+	var buf [solveTileWidth]float64
+	acc := buf[:j1-j0]
+	// Forward substitution with unit lower-triangular L.
+	for i := start + 1; i < n; i++ {
 		row := f.lu.a[i*n : i*n+i]
-		for c := 0; c < t; c++ {
+		for c := range acc {
 			acc[c] = 0
 		}
 		j := start
@@ -358,18 +264,17 @@ func (f *LU) substituteTileFrom(x *Matrix, j0, j1, start int) {
 			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 				continue
 			}
-			x0 := x.a[j*width+j0 : j*width+j1]
-			x1 := x.a[(j+1)*width+j0 : (j+1)*width+j1]
-			x2 := x.a[(j+2)*width+j0 : (j+2)*width+j1]
-			x3 := x.a[(j+3)*width+j0 : (j+3)*width+j1]
-			as := acc[:len(x0)]
-			for c := range x0 {
-				a := as[c]
+			x0 := x.a[j*width+j0:][:len(acc)]
+			x1 := x.a[(j+1)*width+j0:][:len(acc)]
+			x2 := x.a[(j+2)*width+j0:][:len(acc)]
+			x3 := x.a[(j+3)*width+j0:][:len(acc)]
+			for c := range acc {
+				a := acc[c]
 				a += v0 * x0[c]
 				a += v1 * x1[c]
 				a += v2 * x2[c]
 				a += v3 * x3[c]
-				as[c] = a
+				acc[c] = a
 			}
 		}
 		for ; j < i; j++ {
@@ -377,151 +282,49 @@ func (f *LU) substituteTileFrom(x *Matrix, j0, j1, start int) {
 			if v == 0 {
 				continue
 			}
-			xrow := x.a[j*width+j0 : j*width+j1]
-			for c, xv := range xrow {
+			for c, xv := range x.a[j*width+j0:][:len(acc)] {
 				acc[c] += v * xv
 			}
 		}
-		dst := x.a[i*width+j0 : i*width+j1]
+		dst := x.a[i*width+j0:][:len(acc)]
 		for c := range dst {
 			dst[c] -= acc[c]
 		}
 	}
-	// Back substitution with U, in descending j order per row — the same
-	// order as SolveVecInto. Rows retire in pairs (i, i−1): both share the
-	// streamed x rows j > i; row i then finalizes, and row i−1 applies its
-	// j = i term — the last index of its descending sequence — against the
-	// freshly solved x[i] before finalizing. Quad grouping and pairing only
-	// change which row accumulates next, never the per-row descending order,
-	// so the result is bit-identical to the single-row substitution.
-	i = n - 1
-	for ; i-1 >= 0; i -= 2 {
-		row1 := f.lu.a[i*n : (i+1)*n]
-		row0 := f.lu.a[(i-1)*n : i*n]
-		dst1 := x.a[i*width+j0 : i*width+j1]
-		dst0 := x.a[(i-1)*width+j0 : (i-1)*width+j1]
-		for c, xv := range dst1 {
-			acc1[c] = xv
-			acc[c] = dst0[c]
-		}
+	// Back substitution with U, subtracting in descending j order per row.
+	for i := n - 1; i >= 0; i-- {
+		row := f.lu.a[i*n : (i+1)*n]
+		copy(acc, x.a[i*width+j0:][:len(acc)])
 		j := n - 1
 		for ; j-3 > i; j -= 4 {
-			v10, v11, v12, v13 := row1[j], row1[j-1], row1[j-2], row1[j-3]
-			v00, v01, v02, v03 := row0[j], row0[j-1], row0[j-2], row0[j-3]
-			zero1 := v10 == 0 && v11 == 0 && v12 == 0 && v13 == 0
-			zero0 := v00 == 0 && v01 == 0 && v02 == 0 && v03 == 0
-			if zero0 && zero1 {
-				continue
-			}
-			x0 := x.a[j*width+j0 : j*width+j1]
-			x1 := x.a[(j-1)*width+j0 : (j-1)*width+j1]
-			x2 := x.a[(j-2)*width+j0 : (j-2)*width+j1]
-			x3 := x.a[(j-3)*width+j0 : (j-3)*width+j1]
-			a0s, a1s := acc[:len(x0)], acc1[:len(x0)]
-			switch {
-			case zero0:
-				for c := range x0 {
-					a := a1s[c]
-					a -= v10 * x0[c]
-					a -= v11 * x1[c]
-					a -= v12 * x2[c]
-					a -= v13 * x3[c]
-					a1s[c] = a
-				}
-			case zero1:
-				for c := range x0 {
-					a := a0s[c]
-					a -= v00 * x0[c]
-					a -= v01 * x1[c]
-					a -= v02 * x2[c]
-					a -= v03 * x3[c]
-					a0s[c] = a
-				}
-			default:
-				for c := range x0 {
-					a1 := a1s[c]
-					a1 -= v10 * x0[c]
-					a1 -= v11 * x1[c]
-					a1 -= v12 * x2[c]
-					a1 -= v13 * x3[c]
-					a1s[c] = a1
-					a0 := a0s[c]
-					a0 -= v00 * x0[c]
-					a0 -= v01 * x1[c]
-					a0 -= v02 * x2[c]
-					a0 -= v03 * x3[c]
-					a0s[c] = a0
-				}
-			}
-		}
-		for ; j > i; j-- {
-			v1, v0 := row1[j], row0[j]
-			if v0 == 0 && v1 == 0 {
-				continue
-			}
-			xrow := x.a[j*width+j0 : j*width+j1]
-			if v1 != 0 {
-				for c, xv := range xrow {
-					acc1[c] -= v1 * xv
-				}
-			}
-			if v0 != 0 {
-				for c, xv := range xrow {
-					acc[c] -= v0 * xv
-				}
-			}
-		}
-		piv1 := row1[i]
-		for c := range dst1 {
-			dst1[c] = acc1[c] / piv1
-		}
-		if v := row0[i]; v != 0 {
-			for c, xv := range dst1 {
-				acc[c] -= v * xv
-			}
-		}
-		piv0 := row0[i-1]
-		for c := range dst0 {
-			dst0[c] = acc[c] / piv0
-		}
-	}
-	if i == 0 {
-		row := f.lu.a[0:n]
-		dst := x.a[j0:j1]
-		for c, xv := range dst {
-			acc[c] = xv
-		}
-		j := n - 1
-		for ; j-3 > 0; j -= 4 {
 			v0, v1, v2, v3 := row[j], row[j-1], row[j-2], row[j-3]
 			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 				continue
 			}
-			x0 := x.a[j*width+j0 : j*width+j1]
-			x1 := x.a[(j-1)*width+j0 : (j-1)*width+j1]
-			x2 := x.a[(j-2)*width+j0 : (j-2)*width+j1]
-			x3 := x.a[(j-3)*width+j0 : (j-3)*width+j1]
-			as := acc[:len(x0)]
-			for c := range x0 {
-				a := as[c]
+			x0 := x.a[j*width+j0:][:len(acc)]
+			x1 := x.a[(j-1)*width+j0:][:len(acc)]
+			x2 := x.a[(j-2)*width+j0:][:len(acc)]
+			x3 := x.a[(j-3)*width+j0:][:len(acc)]
+			for c := range acc {
+				a := acc[c]
 				a -= v0 * x0[c]
 				a -= v1 * x1[c]
 				a -= v2 * x2[c]
 				a -= v3 * x3[c]
-				as[c] = a
+				acc[c] = a
 			}
 		}
-		for ; j > 0; j-- {
+		for ; j > i; j-- {
 			v := row[j]
 			if v == 0 {
 				continue
 			}
-			xrow := x.a[j*width+j0 : j*width+j1]
-			for c, xv := range xrow {
+			for c, xv := range x.a[j*width+j0:][:len(acc)] {
 				acc[c] -= v * xv
 			}
 		}
-		piv := row[0]
+		piv := row[i]
+		dst := x.a[i*width+j0:][:len(acc)]
 		for c := range dst {
 			dst[c] = acc[c] / piv
 		}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"math"
-	"strings"
 
 	"bgperf/internal/arrival"
 	"bgperf/internal/core"
@@ -122,34 +121,13 @@ func (r OptimizeRequest) planOptions() (plan.Options, error) {
 	return plan.Options{Var: v, Tol: r.Tolerance, MaxIter: r.MaxIter}, nil
 }
 
-// workloadByName resolves a catalog workload (the CLI's vocabulary).
-func workloadByName(name string) (*arrival.MAP, error) {
-	switch strings.ToLower(name) {
-	case "email":
-		return workload.Email()
-	case "softdev", "software-development":
-		return workload.SoftwareDevelopment()
-	case "useraccounts", "user-accounts":
-		return workload.UserAccounts()
-	case "email-lowacf":
-		return workload.EmailLowACF()
-	case "email-ipp":
-		return workload.EmailIPP()
-	case "poisson":
-		return workload.EmailPoisson()
-	default:
-		return nil, core.NewValidationError(core.ErrConfig, "workload",
-			"unknown workload %q (want email | softdev | useraccounts | email-lowacf | email-ipp | poisson)", name)
-	}
-}
-
 // Config resolves the request into a validated core.Config, applying the
 // CLI-compatible defaults. Errors are *core.ValidationError with the
 // offending request field, so handlers map them to 400 responses verbatim.
 func (r SolveRequest) Config() (core.Config, error) {
-	m, err := workloadByName(r.Workload)
+	m, err := workload.ByName(r.Workload)
 	if err != nil {
-		return core.Config{}, err
+		return core.Config{}, core.NewValidationError(core.ErrConfig, "workload", "%v", err)
 	}
 	return r.ConfigWithArrival(m)
 }

@@ -114,9 +114,9 @@ func RunReplicationsOpts(ctx context.Context, cfg Config, reps, workers int, o o
 		agg.QLenBGHalf = agg.Replications[0].QLenBGHalf
 		return agg, nil
 	}
-	agg.QLenFGHalf = tHalfWidth(agg.RepMetrics, func(m *core.Metrics) float64 { return m.QLenFG })
-	agg.QLenBGHalf = tHalfWidth(agg.RepMetrics, func(m *core.Metrics) float64 { return m.QLenBG })
-	agg.RespTimeFGHalf = tHalfWidth(agg.RepMetrics, func(m *core.Metrics) float64 { return m.RespTimeFG })
+	agg.QLenFGHalf = HalfWidth95(agg.RepMetrics, func(m *core.Metrics) float64 { return m.QLenFG })
+	agg.QLenBGHalf = HalfWidth95(agg.RepMetrics, func(m *core.Metrics) float64 { return m.QLenBG })
+	agg.RespTimeFGHalf = HalfWidth95(agg.RepMetrics, func(m *core.Metrics) float64 { return m.RespTimeFG })
 	return agg, nil
 }
 
@@ -198,9 +198,10 @@ func tCritical95(df int) float64 {
 	return 1.96
 }
 
-// tHalfWidth returns the ±half-width of a 95% Student-t confidence interval
-// for the mean of value(m) across the replication metric rows.
-func tHalfWidth(rows []core.Metrics, value func(*core.Metrics) float64) float64 {
+// HalfWidth95 returns the ±half-width of a 95% Student-t confidence interval
+// for the mean of value(m) across the replication metric rows. It needs at
+// least two rows; with fewer the result is NaN.
+func HalfWidth95(rows []core.Metrics, value func(*core.Metrics) float64) float64 {
 	n := float64(len(rows))
 	var mean float64
 	for i := range rows {

@@ -15,6 +15,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"bgperf/internal/arrival"
 )
@@ -88,6 +89,28 @@ func EmailPoisson() (*arrival.MAP, error) {
 		return nil, err
 	}
 	return arrival.Poisson(email.Rate())
+}
+
+// ByName resolves a catalog workload by its case-insensitive name — the
+// vocabulary of the bgperf CLI's -workload flag and of the bgperfd request
+// field "workload".
+func ByName(name string) (*arrival.MAP, error) {
+	switch strings.ToLower(name) {
+	case "email":
+		return Email()
+	case "softdev", "software-development":
+		return SoftwareDevelopment()
+	case "useraccounts", "user-accounts":
+		return UserAccounts()
+	case "email-lowacf":
+		return EmailLowACF()
+	case "email-ipp":
+		return EmailIPP()
+	case "poisson":
+		return EmailPoisson()
+	default:
+		return nil, fmt.Errorf("unknown workload %q (want email | softdev | useraccounts | email-lowacf | email-ipp | poisson)", name)
+	}
 }
 
 // AtUtilization rescales a workload so its foreground utilization at the

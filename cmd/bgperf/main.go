@@ -461,7 +461,7 @@ func cmdTrace(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := workload.ByName(*name)
+	m, err := serve.Workload(*name)
 	if err != nil {
 		return err
 	}
@@ -528,7 +528,7 @@ func cmdACF(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := workload.ByName(*name)
+	m, err := serve.Workload(*name)
 	if err != nil {
 		return err
 	}
@@ -557,7 +557,7 @@ func cmdMulti(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	m, err := workload.ByName(*name)
+	m, err := serve.Workload(*name)
 	if err != nil {
 		return err
 	}

@@ -73,6 +73,28 @@ func TestSolveErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownWorkloadMessage requires every subcommand that takes -workload
+// to report an unknown catalog name with the same text.
+func TestUnknownWorkloadMessage(t *testing.T) {
+	const want = `core: invalid configuration: workload: unknown workload "zzz" ` +
+		`(want email | softdev | useraccounts | email-lowacf | email-ipp | poisson)`
+	for _, args := range [][]string{
+		{"solve"},
+		{"sim"},
+		{"plan", "-slo-qlen", "5"},
+		{"trace"},
+		{"acf"},
+		{"multi"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			_, err := runCmd(t, append(args, "-workload", "zzz")...)
+			if err == nil || err.Error() != want {
+				t.Errorf("got error %v, want %q", err, want)
+			}
+		})
+	}
+}
+
 func TestPlanCommand(t *testing.T) {
 	out, err := runCmd(t, "plan", "-workload", "softdev", "-util", "0.3", "-slo-qlen", "4.2")
 	if err != nil {

@@ -118,14 +118,6 @@ func (m *MAP) TimeStationary() []float64 {
 	return out
 }
 
-// EventStationary returns a copy of the phase distribution seen just after an
-// arrival, p = πD1/λ.
-func (m *MAP) EventStationary() []float64 {
-	out := make([]float64, len(m.embPi))
-	copy(out, m.embPi)
-	return out
-}
-
 // Rate returns the mean arrival rate λ = πD1e (paper Eq. 1).
 func (m *MAP) Rate() float64 { return m.rate }
 

@@ -180,7 +180,10 @@ func TestIPPFromMomentsRejectsLowSCV(t *testing.T) {
 }
 
 func TestErlangRenewal(t *testing.T) {
-	e, err := ErlangRenewal(4, 2)
+	// Four exponential stages of rate 2 per inter-arrival time.
+	e, err := New(
+		mat.MustFromRows([][]float64{{-2, 2, 0, 0}, {0, -2, 2, 0}, {0, 0, -2, 2}, {0, 0, 0, -2}}),
+		mat.MustFromRows([][]float64{{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0}, {2, 0, 0, 0}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +200,10 @@ func TestErlangRenewal(t *testing.T) {
 }
 
 func TestHyperexpRenewal(t *testing.T) {
-	h, err := HyperexpRenewal([]float64{0.5, 0.5}, []float64{1, 10})
+	// Each gap is exponential with rate 1 or 10, with probability 1/2 each.
+	h, err := New(
+		mat.MustFromRows([][]float64{{-1, 0}, {0, -10}}),
+		mat.MustFromRows([][]float64{{0.5, 0.5}, {5, 5}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,15 +218,6 @@ func TestHyperexpRenewal(t *testing.T) {
 	}
 	if acf := h.ACF(3); math.Abs(acf) > 1e-9 {
 		t.Errorf("ACF(3) = %v, want 0", acf)
-	}
-}
-
-func TestHyperexpRenewalValidation(t *testing.T) {
-	if _, err := HyperexpRenewal([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := HyperexpRenewal([]float64{0, 0}, []float64{1, 2}); err == nil {
-		t.Error("zero total probability accepted")
 	}
 }
 
@@ -328,7 +325,7 @@ func TestAccessorsReturnCopies(t *testing.T) {
 
 func TestEventStationaryIsDistribution(t *testing.T) {
 	m := softDev(t)
-	p := m.EventStationary()
+	p := m.embPi
 	if math.Abs(mat.Sum(p)-1) > 1e-9 {
 		t.Errorf("event-stationary sums to %v", mat.Sum(p))
 	}
@@ -620,7 +617,7 @@ func TestQuickSuperposeRateAdds(t *testing.T) {
 func TestEventStationaryIsPStationary(t *testing.T) {
 	// p must be the stationary vector of the embedded chain P = (−D0)⁻¹D1.
 	m := softDev(t)
-	p := m.EventStationary()
+	p := m.embPi
 	d0 := m.D0().Scale(-1)
 	inv, err := mat.Inverse(d0)
 	if err != nil {

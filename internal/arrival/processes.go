@@ -134,56 +134,3 @@ func IPPFromMoments(rate, scv, onFrac float64) (*MAP, error) {
 	}
 	return m.WithRate(rate)
 }
-
-// HyperexpRenewal returns the renewal process whose inter-arrival times are a
-// mixture of exponentials: with probability probs[i] the next gap is
-// exponential with rate rates[i]. Useful as a high-variability,
-// zero-correlation baseline of arbitrary order.
-func HyperexpRenewal(probs, rates []float64) (*MAP, error) {
-	if len(probs) != len(rates) || len(probs) == 0 {
-		return nil, fmt.Errorf("%w: probs and rates must be equal-length and nonempty", ErrInvalidMAP)
-	}
-	var sum float64
-	for i, p := range probs {
-		if p < 0 || rates[i] <= 0 {
-			return nil, fmt.Errorf("%w: branch %d has prob %g rate %g", ErrInvalidMAP, i, p, rates[i])
-		}
-		sum += p
-	}
-	if sum <= 0 {
-		return nil, fmt.Errorf("%w: probabilities sum to %g", ErrInvalidMAP, sum)
-	}
-	n := len(probs)
-	d0 := mat.New(n, n)
-	d1 := mat.New(n, n)
-	for i := 0; i < n; i++ {
-		d0.Set(i, i, -rates[i])
-		for j := 0; j < n; j++ {
-			d1.Set(i, j, rates[i]*probs[j]/sum)
-		}
-	}
-	return New(d0, d1)
-}
-
-// ErlangRenewal returns the renewal process with Erlang-k inter-arrival times
-// (k exponential stages of the given stage rate). Erlang arrivals have
-// SCV = 1/k < 1, a smooth-traffic baseline.
-func ErlangRenewal(k int, stageRate float64) (*MAP, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("%w: Erlang order %d must be >= 1", ErrInvalidMAP, k)
-	}
-	if stageRate <= 0 {
-		return nil, fmt.Errorf("%w: stage rate %g must be positive", ErrInvalidMAP, stageRate)
-	}
-	d0 := mat.New(k, k)
-	d1 := mat.New(k, k)
-	for i := 0; i < k; i++ {
-		d0.Set(i, i, -stageRate)
-		if i+1 < k {
-			d0.Set(i, i+1, stageRate)
-		} else {
-			d1.Set(i, 0, stageRate)
-		}
-	}
-	return New(d0, d1)
-}

@@ -86,15 +86,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Diag returns a square matrix with d on its diagonal.
-func Diag(d []float64) *Matrix {
-	m := New(len(d), len(d))
-	for i, v := range d {
-		m.a[i*len(d)+i] = v
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -129,14 +120,6 @@ func (m *Matrix) Row(i int) []float64 {
 // access for the axpy loops of structured (block-triangular) products.
 func (m *Matrix) RowView(i int) []float64 {
 	return m.a[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
-}
-
-// SetRow copies v into row i.
-func (m *Matrix) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(ErrShape)
-	}
-	copy(m.a[i*m.cols:(i+1)*m.cols], v)
 }
 
 // Zero resets every entry of m to zero in place.
@@ -189,18 +172,6 @@ func (m *Matrix) AddInPlace(n *Matrix) *Matrix {
 	return m
 }
 
-// AddInto sets m = a + b entrywise and returns m. The receiver may alias a
-// and/or b.
-func (m *Matrix) AddInto(a, b *Matrix) *Matrix {
-	if a.rows != b.rows || a.cols != b.cols || m.rows != a.rows || m.cols != a.cols {
-		panic(ErrShape)
-	}
-	for i := range m.a {
-		m.a[i] = a.a[i] + b.a[i]
-	}
-	return m
-}
-
 // SubInto sets m = a − b entrywise and returns m. The receiver may alias a
 // and/or b.
 func (m *Matrix) SubInto(a, b *Matrix) *Matrix {
@@ -220,19 +191,6 @@ func (m *Matrix) ScaleInto(a *Matrix, s float64) *Matrix {
 	}
 	for i := range m.a {
 		m.a[i] = a.a[i] * s
-	}
-	return m
-}
-
-// TransposeInto sets m = aᵀ and returns m. The receiver must not alias a.
-func (m *Matrix) TransposeInto(a *Matrix) *Matrix {
-	if m.rows != a.cols || m.cols != a.rows {
-		panic(ErrShape)
-	}
-	for i := 0; i < a.rows; i++ {
-		for j := 0; j < a.cols; j++ {
-			m.a[j*m.cols+i] = a.a[i*a.cols+j]
-		}
 	}
 	return m
 }

@@ -12,7 +12,6 @@ import (
 type LU struct {
 	lu      *Matrix
 	piv     []int
-	sign    int
 	scratch []float64 // permutation staging for SolveVecInto
 }
 
@@ -22,7 +21,6 @@ func NewLU(n int) *LU {
 	return &LU{
 		lu:      New(n, n),
 		piv:     make([]int, n),
-		sign:    1,
 		scratch: make([]float64, n),
 	}
 }
@@ -55,7 +53,6 @@ func FactorizeInto(f *LU, a *Matrix) error {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest magnitude in column k at or below the diagonal.
 		p, mx := k, math.Abs(lu.a[k*n+k])
@@ -73,7 +70,6 @@ func FactorizeInto(f *LU, a *Matrix) error {
 				ri[j], rk[j] = rk[j], ri[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu.a[k*n+k]
 		// Eliminate below the pivot four rows at a time: the pivot row rk
@@ -127,7 +123,6 @@ func FactorizeInto(f *LU, a *Matrix) error {
 			}
 		}
 	}
-	f.sign = sign
 	return nil
 }
 
@@ -395,16 +390,6 @@ func (f *LU) ensureScratch() []float64 {
 	return f.scratch
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	d := float64(f.sign)
-	for i := 0; i < n; i++ {
-		d *= f.lu.a[i*n+i]
-	}
-	return d
-}
-
 // Solve solves the linear system a·x = b.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factorize(a)
@@ -468,15 +453,6 @@ func SpectralRadius(a *Matrix, tol float64, maxIter int) float64 {
 		prev = norm
 	}
 	return prev
-}
-
-// Ones returns a length-n vector of ones.
-func Ones(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
 }
 
 // Dot returns the inner product of x and y.

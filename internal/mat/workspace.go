@@ -121,8 +121,8 @@ func (w *Workspace) Matrix(rows, cols int) *Matrix {
 // MatrixUninit returns a rows×cols matrix with unspecified contents, reusing
 // a released buffer of the same shape when one is available. It is the
 // acquisition for destinations that are fully overwritten before any read —
-// MulInto, ScaleInto, SubInto, CloneInto, TransposeInto, SolveMatInto, and
-// InverseInto targets — where Matrix's zeroing is pure overhead. Callers that
+// MulInto, ScaleInto, SubInto, CloneInto, SolveMatInto, and InverseInto
+// targets — where Matrix's zeroing is pure overhead. Callers that
 // read any element before writing it must use Matrix instead.
 func (w *Workspace) MatrixUninit(rows, cols int) *Matrix {
 	if w == nil {

@@ -83,10 +83,8 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		a := randMat(rng, r, c, 0.2)
 		b := randMat(rng, r, c, 0.2)
 
-		requireClose(t, New(r, c).AddInto(a, b), a.AddMat(b), tol, "AddInto")
 		requireClose(t, New(r, c).SubInto(a, b), a.SubMat(b), tol, "SubInto")
 		requireClose(t, New(r, c).ScaleInto(a, 0.37), a.Clone().Scale(0.37), tol, "ScaleInto")
-		requireClose(t, New(c, r).TransposeInto(a), a.Transpose(), tol, "TransposeInto")
 		requireClose(t, a.CloneInto(New(r, c)), a.Clone(), tol, "CloneInto")
 
 		x := randVec(rng, c)
@@ -96,9 +94,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		requireCloseVec(t, a.RowSumsInto(make([]float64, r)), a.RowSums(), tol, "RowSumsInto")
 
 		// Aliased destinations, where documented as allowed.
-		sum := a.Clone()
-		sum.AddInto(sum, b)
-		requireClose(t, sum, a.AddMat(b), tol, "AddInto aliasing receiver")
 		neg := a.Clone()
 		neg.ScaleInto(neg, -1)
 		requireClose(t, neg, a.Clone().Scale(-1), tol, "ScaleInto aliasing receiver")
@@ -122,9 +117,6 @@ func TestLUIntoVariantsMatchAllocating(t *testing.T) {
 			}
 			if err := FactorizeInto(f, a); err != nil {
 				t.Fatalf("n=%d: FactorizeInto: %v", n, err)
-			}
-			if got, w := f.Det(), want.Det(); math.Abs(got-w) > tol*math.Max(1, math.Abs(w)) {
-				t.Fatalf("n=%d: Det %g, want %g", n, got, w)
 			}
 
 			bvec := randVec(rng, n)
@@ -220,10 +212,8 @@ func TestIntoKernelsZeroAlloc(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"AddInto", func() { dst.AddInto(a, b) }},
 		{"SubInto", func() { dst.SubInto(a, b) }},
 		{"ScaleInto", func() { dst.ScaleInto(a, 2) }},
-		{"TransposeInto", func() { dst.TransposeInto(a) }},
 		{"CloneInto", func() { a.CloneInto(dst) }},
 		{"MulInto", func() { dst.MulInto(a, b) }},
 		{"MulVecInto", func() { a.MulVecInto(vdst, x) }},

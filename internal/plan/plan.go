@@ -8,22 +8,24 @@
 // (internal/check: QLenFG non-decreasing in p and X, FG interference
 // non-decreasing in the idle rate α, and non-increasing in the modulation
 // factor φ): the feasible set of each decision variable is an interval
-// anchored at its least-aggressive endpoint, so bisection over the fast
-// analytic engine finds the frontier in a few dozen solves. Continuous
-// variables (p, α) bisect to a relative tolerance; the integer buffer X
-// binary-searches [0, MaxBuffer]; the modulation factor φ (PR 10) bisects
-// DOWNWARD over [ModFactorFloor, 1] to the minimum feasible value, since
-// its aggressive direction is toward deeper degradation. Every reported
-// frontier is an actually-solved feasible point — the search never
-// extrapolates — and the infeasible side of the final bracket is reported,
-// so a forward solve can independently confirm both sides of the frontier.
+// anchored at its least-aggressive ("safe") endpoint, so one bisection over
+// the fast analytic engine finds the frontier in a few dozen solves. The
+// bisection keeps the safe side of its bracket feasible and the bold side
+// infeasible. p, X, and α move upward from their safe endpoint; φ moves
+// downward from 1 toward ModFactorFloor, since its aggressive direction is
+// toward deeper degradation. The variables differ only in the midpoint
+// (whole slots for X, geometric for α) and the stop rule (one slot for X,
+// relative for α, absolute for p and φ). Every reported frontier is an
+// actually-solved feasible point — the search never extrapolates — and the
+// infeasible side of the final bracket is reported, so a forward solve can
+// independently confirm both sides of the frontier.
 //
-// An SLO that fails even at the least-aggressive endpoint (p = 0, X = 0, a
-// vanishing α, or φ = 1) is reported with ErrInfeasible, never silently
-// clamped. A saturated foreground load (qbd.ErrUnstable) is likewise
-// infeasible for p, X, and α, whose values cannot affect stability; for the
-// φ search — where a deep modulation CAN saturate an otherwise stable
-// model — a saturated candidate is just an infeasible point.
+// An SLO that fails even at the safe endpoint (p = 0, X = 0, a vanishing α,
+// or φ = 1) is reported with ErrInfeasible, never silently clamped. A
+// saturated foreground load (qbd.ErrUnstable) is likewise infeasible for p,
+// X, and α, whose values cannot affect stability; for the φ search — where a
+// deep modulation CAN saturate an otherwise stable model — a saturated
+// candidate is just an infeasible point.
 package plan
 
 import (
@@ -94,7 +96,7 @@ const (
 	VarModFactor
 )
 
-// String returns the CLI/JSON spelling: "p", "x", or "alpha".
+// String returns the CLI/JSON spelling: "p", "x", "alpha", or "mod".
 func (v Var) String() string {
 	switch v {
 	case VarBGProb:
@@ -257,7 +259,7 @@ type Neighbor struct {
 // encoding is the byte-for-byte contract shared by `bgperf plan -json` and
 // the daemon's /v1/optimize "plan" object.
 type Result struct {
-	// Var is the decision variable searched ("p", "x", or "alpha").
+	// Var is the decision variable searched ("p", "x", "alpha", or "mod").
 	Var string `json:"var"`
 	// Value is the maximum feasible value found: the SLO holds at the
 	// forward solve of this exact point.
@@ -354,13 +356,12 @@ type searcher struct {
 }
 
 // Maximize finds the most aggressive value of the decision variable
-// opts.Var at which cfg still meets slo, by bisection (p, α), integer binary
-// search (X), or downward bisection (mod, whose aggressive direction is
-// toward smaller φ) over forward analytic solves. It returns ErrInfeasible
-// (wrapped, with the violated bound named) when even the least-aggressive
-// endpoint fails, and a *core.ValidationError for invalid SLOs, configs, or
-// variable/config combinations. The result's Value is always a point that
-// was actually solved and found feasible.
+// opts.Var at which cfg still meets slo, by bisection over forward analytic
+// solves (downward for mod, whose aggressive direction is toward smaller φ).
+// It returns ErrInfeasible (wrapped, with the violated bound named) when even
+// the least-aggressive endpoint fails, and a *core.ValidationError for invalid
+// SLOs, configs, or variable/config combinations. The result's Value is always
+// a point that was actually solved and found feasible.
 func Maximize(cfg core.Config, slo SLO, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := slo.Validate(); err != nil {
@@ -375,18 +376,7 @@ func Maximize(cfg core.Config, slo SLO, opts Options) (*Result, error) {
 		return nil, err
 	}
 	s := &searcher{cfg: cfg, slo: slo, opts: opts}
-	var (
-		res *Result
-		err error
-	)
-	switch opts.Var {
-	case VarBGBuffer:
-		res, err = s.searchInt()
-	case VarModFactor:
-		res, err = s.searchContMin()
-	default:
-		res, err = s.searchCont()
-	}
+	res, err := s.search()
 	if err != nil {
 		return nil, err
 	}
@@ -399,13 +389,23 @@ func Maximize(cfg core.Config, slo SLO, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// domain returns the continuous search interval [lo, hi] for the variable.
-func (s *searcher) domain() (lo, hi float64) {
-	if s.opts.Var == VarBGProb {
+// domain returns the search endpoints of the decision variable: safe, the
+// least-aggressive value, where the SLO must hold or the plan is infeasible,
+// and bold, the most-aggressive one, where a holding SLO makes the plan
+// AtCap. p, X, and α search upward; φ searches downward from 1, since its
+// aggressive direction is toward deeper degradation.
+func (s *searcher) domain() (safe, bold float64) {
+	switch s.opts.Var {
+	case VarBGProb:
 		return 0, 1
+	case VarBGBuffer:
+		return 0, MaxBuffer
+	case VarModFactor:
+		return 1, ModFactorFloor
+	default:
+		mu := serviceRateOf(s.cfg)
+		return alphaLoFrac * mu, alphaHiFrac * mu
 	}
-	mu := serviceRateOf(s.cfg)
-	return alphaLoFrac * mu, alphaHiFrac * mu
 }
 
 // serviceRateOf extracts the (mean) service rate µ, the natural scale of
@@ -430,8 +430,8 @@ func (s *searcher) eval(val float64) (core.Metrics, bool, error) {
 
 // evalAt is the goroutine-safe core of eval: it owns no searcher state, so
 // the neighborhood fan-out can call it concurrently. A saturated model maps
-// to ErrInfeasible directly: stability does not depend on any of the
-// decision variables, so no value can rescue it.
+// to ErrInfeasible directly, since stability does not depend on p, X, or α
+// and no value can rescue it; only φ can saturate the model itself.
 func evalAt(cfg core.Config, slo SLO, opts Options, val float64) (core.Metrics, bool, error) {
 	if opts.Ctx != nil {
 		if err := opts.Ctx.Err(); err != nil {
@@ -470,31 +470,32 @@ func evalAt(cfg core.Config, slo SLO, opts Options, val float64) (core.Metrics, 
 	return sol.Metrics, slo.Holds(sol.Metrics), nil
 }
 
-// searchCont bisects the continuous variables. The p search halves an
-// absolute bracket; the α search halves in log space (the domain spans eight
-// orders of magnitude), both maintaining the invariant lo feasible / hi
-// infeasible.
-func (s *searcher) searchCont() (*Result, error) {
-	lo, hi := s.domain()
-	mLo, okLo, err := s.eval(lo)
+// search bisects the decision variable between its endpoints, keeping one
+// invariant: the safe side of the bracket is feasible and the bold side is
+// infeasible. It evaluates safe (ErrInfeasible if the SLO fails there), then
+// bold (AtCap if the SLO holds there), then halves the bracket until it
+// converges, the iteration budget runs out, or the midpoint no longer
+// separates the two sides at float resolution.
+func (s *searcher) search() (*Result, error) {
+	safe, bold := s.domain()
+	mSafe, ok, err := s.eval(safe)
 	if err != nil {
 		return nil, err
 	}
-	if !okLo {
-		return nil, fmt.Errorf("%w: %s even at %s = %g", ErrInfeasible,
-			s.slo.violation(mLo), s.opts.Var, lo)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s even %s", ErrInfeasible, s.slo.violation(mSafe), s.safeText(safe))
 	}
-	mHi, okHi, err := s.eval(hi)
+	mBold, ok, err := s.eval(bold)
 	if err != nil {
 		return nil, err
 	}
-	if okHi {
-		return &Result{Value: hi, AtCap: true, Metrics: mHi}, nil
+	if ok {
+		return &Result{Value: bold, AtCap: true, Metrics: mBold}, nil
 	}
 	iters := 0
-	for iters < s.opts.MaxIter && !s.converged(lo, hi) {
-		mid := s.midpoint(lo, hi)
-		if !(mid > lo && mid < hi) {
+	for iters < s.opts.MaxIter && !s.converged(safe, bold) {
+		mid := s.midpoint(safe, bold)
+		if !(mid > min(safe, bold) && mid < max(safe, bold)) {
 			break // bracket exhausted at float resolution
 		}
 		m, ok, err := s.eval(mid)
@@ -502,107 +503,52 @@ func (s *searcher) searchCont() (*Result, error) {
 			return nil, err
 		}
 		if ok {
-			lo, mLo = mid, m
+			safe, mSafe = mid, m
 		} else {
-			hi = mid
+			bold = mid
 		}
 		iters++
 	}
-	return &Result{Value: lo, Bracket: hi, Iterations: iters, Metrics: mLo}, nil
+	return &Result{Value: safe, Bracket: bold, Iterations: iters, Metrics: mSafe}, nil
 }
 
-// searchContMin bisects the modulation factor downward: the feasible set is
-// an interval anchored at φ = 1 (no modulation), so the search maintains the
-// reversed invariant hi feasible / lo infeasible and converges on the
-// minimum feasible φ. ErrInfeasible means the SLO fails even with the
-// modulation disabled; AtCap means even ModFactorFloor meets it.
-func (s *searcher) searchContMin() (*Result, error) {
-	lo, hi := ModFactorFloor, 1.0
-	mHi, okHi, err := s.eval(hi)
-	if err != nil {
-		return nil, err
+// safeText names the safe endpoint in the ErrInfeasible message.
+func (s *searcher) safeText(safe float64) string {
+	switch s.opts.Var {
+	case VarBGBuffer:
+		return "at X = 0 (no background admitted)"
+	case VarModFactor:
+		return "with modulation disabled (mod = 1)"
+	default:
+		return fmt.Sprintf("at %s = %g", s.opts.Var, safe)
 	}
-	if !okHi {
-		return nil, fmt.Errorf("%w: %s even with modulation disabled (%s = 1)",
-			ErrInfeasible, s.slo.violation(mHi), s.opts.Var)
-	}
-	mLo, okLo, err := s.eval(lo)
-	if err != nil {
-		return nil, err
-	}
-	if okLo {
-		return &Result{Value: lo, AtCap: true, Metrics: mLo}, nil
-	}
-	iters := 0
-	for iters < s.opts.MaxIter && hi-lo > s.opts.Tol {
-		mid := (lo + hi) / 2
-		if !(mid > lo && mid < hi) {
-			break // bracket exhausted at float resolution
-		}
-		m, ok, err := s.eval(mid)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			hi, mHi = mid, m
-		} else {
-			lo = mid
-		}
-		iters++
-	}
-	return &Result{Value: hi, Bracket: lo, Iterations: iters, Metrics: mHi}, nil
 }
 
-// converged reports whether the bracket is within tolerance.
-func (s *searcher) converged(lo, hi float64) bool {
-	if s.opts.Var == VarIdleRate {
-		return hi <= lo*(1+s.opts.Tol)
+// converged reports whether the bracket is within tolerance: one buffer slot
+// for X, a ratio of 1+Tol for α, and an absolute Tol for p and φ.
+func (s *searcher) converged(safe, bold float64) bool {
+	switch s.opts.Var {
+	case VarBGBuffer:
+		return bold-safe <= 1
+	case VarIdleRate:
+		return bold <= safe*(1+s.opts.Tol)
+	default:
+		return math.Abs(bold-safe) <= s.opts.Tol
 	}
-	return hi-lo <= s.opts.Tol
 }
 
-// midpoint bisects arithmetically for p and geometrically for α.
-func (s *searcher) midpoint(lo, hi float64) float64 {
-	if s.opts.Var == VarIdleRate {
-		return math.Sqrt(lo * hi)
+// midpoint bisects the bracket: on whole buffer slots for X, geometrically
+// for α (its domain spans about six orders of magnitude), and arithmetically
+// for p and φ.
+func (s *searcher) midpoint(safe, bold float64) float64 {
+	switch s.opts.Var {
+	case VarBGBuffer:
+		return math.Floor((safe + bold) / 2)
+	case VarIdleRate:
+		return math.Sqrt(safe * bold)
+	default:
+		return (safe + bold) / 2
 	}
-	return (lo + hi) / 2
-}
-
-// searchInt binary-searches the integer buffer on [0, MaxBuffer] with the
-// same feasible-lo / infeasible-hi invariant.
-func (s *searcher) searchInt() (*Result, error) {
-	lo, hi := 0, MaxBuffer
-	mLo, okLo, err := s.eval(float64(lo))
-	if err != nil {
-		return nil, err
-	}
-	if !okLo {
-		return nil, fmt.Errorf("%w: %s even at X = 0 (no background admitted)",
-			ErrInfeasible, s.slo.violation(mLo))
-	}
-	mHi, okHi, err := s.eval(float64(hi))
-	if err != nil {
-		return nil, err
-	}
-	if okHi {
-		return &Result{Value: float64(hi), AtCap: true, Metrics: mHi}, nil
-	}
-	iters := 0
-	for iters < s.opts.MaxIter && hi-lo > 1 {
-		mid := (lo + hi) / 2
-		m, ok, err := s.eval(float64(mid))
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			lo, mLo = mid, m
-		} else {
-			hi = mid
-		}
-		iters++
-	}
-	return &Result{Value: float64(lo), Bracket: float64(hi), Iterations: iters, Metrics: mLo}, nil
 }
 
 // neighborhood solves the sensitivity points around the frontier (fanned
@@ -638,7 +584,7 @@ func (s *searcher) neighborhood(res *Result) error {
 }
 
 // neighborValues picks the perturbed sensitivity points: ±1 buffer slot for
-// X, ±5% (at least one tolerance) for p, ×/÷1.05 for α, clamped to the
+// X, ×/÷1.05 for α, ±5% (at least one tolerance) for p and φ, clamped to the
 // domain and deduplicated against the frontier.
 func (s *searcher) neighborValues(res *Result) []float64 {
 	v := res.Value
@@ -646,33 +592,20 @@ func (s *searcher) neighborValues(res *Result) []float64 {
 	switch s.opts.Var {
 	case VarBGBuffer:
 		cands = []float64{v - 1, v + 1}
-		lo, hi := 0.0, float64(MaxBuffer)
-		return clampVals(cands, v, lo, hi)
 	case VarIdleRate:
-		lo, hi := s.domain()
 		cands = []float64{v / 1.05, v * 1.05}
-		return clampVals(cands, v, lo, hi)
-	case VarModFactor:
-		step := math.Max(0.05*v, s.opts.Tol)
-		cands = []float64{v - step, v + step}
-		return clampVals(cands, v, ModFactorFloor, 1)
 	default:
 		step := math.Max(0.05*v, s.opts.Tol)
 		cands = []float64{v - step, v + step}
-		return clampVals(cands, v, 0, 1)
 	}
-}
-
-// clampVals clamps candidates into [lo, hi] and drops duplicates of the
-// frontier value v.
-func clampVals(cands []float64, v, lo, hi float64) []float64 {
+	safe, bold := s.domain()
+	lo, hi := min(safe, bold), max(safe, bold)
 	out := cands[:0]
 	for _, c := range cands {
 		c = math.Min(math.Max(c, lo), hi)
-		if c == v {
-			continue
+		if c != v {
+			out = append(out, c)
 		}
-		out = append(out, c)
 	}
 	return out
 }

@@ -401,8 +401,3 @@ func (s *Solution) MeanLevel() float64 {
 	mean += mat.Sum(s.tailW)
 	return mean
 }
-
-// LevelMass returns the total probability of one level.
-func (s *Solution) LevelMass(level int) float64 {
-	return mat.Sum(s.LevelPi(level))
-}

@@ -72,7 +72,7 @@ func TestMM1Stationary(t *testing.T) {
 	}
 	for j := 0; j <= 10; j++ {
 		want := (1 - rho) * math.Pow(rho, float64(j))
-		if got := sol.LevelMass(j); math.Abs(got-want) > 1e-10 {
+		if got := mat.Sum(sol.LevelPi(j)); math.Abs(got-want) > 1e-10 {
 			t.Errorf("π_%d = %v, want %v", j, got, want)
 		}
 	}
@@ -243,7 +243,7 @@ func TestTailSums(t *testing.T) {
 	// Compare closed-form tail sums with brute-force accumulation.
 	var bruteMass, bruteWeighted, bruteSquare float64
 	for k := 0; k < 200; k++ {
-		m := sol.LevelMass(sol.FirstRepLevel() + k)
+		m := mat.Sum(sol.LevelPi(sol.FirstRepLevel() + k))
 		bruteMass += m
 		bruteWeighted += float64(k) * m
 		bruteSquare += float64(k) * float64(k) * m

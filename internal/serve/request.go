@@ -125,11 +125,22 @@ func (r OptimizeRequest) planOptions() (plan.Options, error) {
 // CLI-compatible defaults. Errors are *core.ValidationError with the
 // offending request field, so handlers map them to 400 responses verbatim.
 func (r SolveRequest) Config() (core.Config, error) {
-	m, err := workload.ByName(r.Workload)
+	m, err := Workload(r.Workload)
 	if err != nil {
-		return core.Config{}, core.NewValidationError(core.ErrConfig, "workload", "%v", err)
+		return core.Config{}, err
 	}
 	return r.ConfigWithArrival(m)
+}
+
+// Workload resolves a catalog workload name. An unknown name is a
+// *core.ValidationError on the "workload" field, so bgperfd and every
+// bgperf subcommand that takes -workload report it with the same text.
+func Workload(name string) (*arrival.MAP, error) {
+	m, err := workload.ByName(name)
+	if err != nil {
+		return nil, core.NewValidationError(core.ErrConfig, "workload", "%v", err)
+	}
+	return m, nil
 }
 
 // ConfigWithArrival resolves the request against an explicit arrival

@@ -101,9 +101,6 @@ type Options struct {
 	RequestTimeout time.Duration
 	// Workers bounds the sweep fan-out pool; <= 0 means one per core.
 	Workers int
-	// Observer optionally replaces the server's own Diagnostics collector
-	// as the solver observer (tests count solves through it).
-	Observer obs.Observer
 	// CacheDir enables the persistent disk cache tier: solved metrics are
 	// written to a content-addressed store rooted here and consulted on
 	// every memory miss. Empty disables the disk tier.
@@ -145,7 +142,6 @@ type Server struct {
 	planGroup *flightGroup[*plan.Result]
 	stats     *obs.ServeCollector
 	diag      *obs.Diagnostics
-	observer  obs.Observer
 	workers   int
 	timeout   time.Duration
 	draining  atomic.Bool
@@ -189,10 +185,6 @@ func New(opts Options) (*Server, error) {
 		workers:   opts.Workers,
 		timeout:   timeout,
 		mux:       http.NewServeMux(),
-	}
-	s.observer = opts.Observer
-	if s.observer == nil {
-		s.observer = s.diag
 	}
 	s.gate = newGate(opts.MaxInFlight, opts.MaxQueue, s.stats)
 	if opts.CacheDir != "" {
@@ -436,7 +428,7 @@ func (s *Server) solvePoint(ctx context.Context, req SolveRequest, local bool) (
 			s.stats.SolveDone(time.Since(t0))
 			return core.Metrics{}, err
 		}
-		sol, err := model.SolveObserved(s.observer)
+		sol, err := model.SolveObserved(s.diag)
 		s.stats.SolveDone(time.Since(t0))
 		if err != nil {
 			return core.Metrics{}, err
@@ -654,7 +646,7 @@ func finishPlanResult(r *PlanPointResult, status int) {
 func (s *Server) planPoint(ctx context.Context, cfg core.Config, slo plan.SLO, popts plan.Options) (PlanPointResult, int) {
 	s.stats.Request()
 	popts.Workers = s.workers
-	popts.Observer = s.observer
+	popts.Observer = s.diag
 	popts.Ctx = ctx
 	key, err := plan.CacheKey(cfg, slo, popts)
 	if err != nil {

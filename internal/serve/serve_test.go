@@ -16,31 +16,11 @@ import (
 	"bgperf/internal/workload"
 )
 
-// solveCounter is an obs.Observer that counts completed analytic solves —
-// the obs-counter pin that a cached point never re-invokes the QBD solver.
-type solveCounter struct {
-	mu     sync.Mutex
-	solves int
-}
-
-func (c *solveCounter) StageDone(s obs.Stage, d time.Duration) {
-	if s == obs.StageMetrics {
-		c.mu.Lock()
-		c.solves++
-		c.mu.Unlock()
-	}
-}
-func (c *solveCounter) RIteration(int, float64)           {}
-func (c *solveCounter) RSolved(int, float64, float64)     {}
-func (c *solveCounter) WorkspaceStats(obs.WorkspaceStats) {}
-func (c *solveCounter) SimRun(obs.SimCounters)            {}
-func (c *solveCounter) ReplicationDone(int, int)          {}
-func (c *solveCounter) FitDone(obs.FitDiag)               {}
-
-func (c *solveCounter) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.solves
+// solverSolves counts the analytic solves the server's own diagnostics saw
+// complete — the solver-side pin that a cached point never re-invokes the
+// QBD solver, independent of the serve counters.
+func solverSolves(s *Server) int64 {
+	return s.diag.Report().Solves
 }
 
 // newTest builds a Server over opts, failing the test on construction
@@ -191,11 +171,10 @@ func TestSolveMethodNotAllowed(t *testing.T) {
 
 // TestSolveCacheSkipsSolver pins the tentpole cache contract: the second
 // identical request is answered from the cache without invoking the QBD
-// solver, observed through both the serve counters and an obs.Observer
-// counting completed solves.
+// solver, observed through both the serve counters and the solver's own
+// diagnostics.
 func TestSolveCacheSkipsSolver(t *testing.T) {
-	counter := &solveCounter{}
-	s := newTest(t, Options{Observer: counter})
+	s := newTest(t, Options{})
 
 	first := postJSON(t, s.Handler(), "/v1/solve", fig5Body)
 	if first.Code != http.StatusOK {
@@ -206,8 +185,8 @@ func TestSolveCacheSkipsSolver(t *testing.T) {
 	if r1.Cached || r1.Metrics == nil || r1.Key == "" {
 		t.Fatalf("first response should be an uncached solve with a key: %s", first.Body)
 	}
-	if counter.count() != 1 {
-		t.Fatalf("first request: %d solver invocations, want 1", counter.count())
+	if solverSolves(s) != 1 {
+		t.Fatalf("first request: %d solver invocations, want 1", solverSolves(s))
 	}
 
 	second := postJSON(t, s.Handler(), "/v1/solve", fig5Body)
@@ -219,8 +198,8 @@ func TestSolveCacheSkipsSolver(t *testing.T) {
 	if !r2.Cached {
 		t.Fatalf("second identical request not served from cache: %s", second.Body)
 	}
-	if counter.count() != 1 {
-		t.Fatalf("cached request re-invoked the solver: %d solves", counter.count())
+	if solverSolves(s) != 1 {
+		t.Fatalf("cached request re-invoked the solver: %d solves", solverSolves(s))
 	}
 	if r2.Key != r1.Key {
 		t.Fatalf("cache key drifted between identical requests: %s vs %s", r1.Key, r2.Key)
@@ -293,8 +272,7 @@ func TestSolveMatchesBatchCLI(t *testing.T) {
 // requests are accounted as coalesced or cache hits.
 func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 	const m = 16
-	counter := &solveCounter{}
-	s := newTest(t, Options{Observer: counter})
+	s := newTest(t, Options{})
 	release := make(chan struct{})
 	s.solveBarrier = func() { <-release }
 
@@ -352,7 +330,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 			t.Fatalf("request %d returned different metrics", i)
 		}
 	}
-	if got := counter.count(); got != 1 {
+	if got := solverSolves(s); got != 1 {
 		t.Fatalf("observed %d solver invocations for %d identical requests, want exactly 1", got, m)
 	}
 	st := s.Stats()
@@ -365,8 +343,7 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 }
 
 func TestSweep(t *testing.T) {
-	counter := &solveCounter{}
-	s := newTest(t, Options{Observer: counter})
+	s := newTest(t, Options{})
 	body := `{"points":[
 		{"workload":"email","utilization":0.2,"bgProb":0.3},
 		{"workload":"email","utilization":0.2,"bgProb":0.6},
@@ -394,7 +371,7 @@ func TestSweep(t *testing.T) {
 	}
 	// Points 0 and 3 are identical: they share one solve via cache or
 	// coalescing, so only the two distinct valid points hit the solver.
-	if got := counter.count(); got != 2 {
+	if got := solverSolves(s); got != 2 {
 		t.Fatalf("sweep performed %d solves, want 2 (duplicate point must not re-solve)", got)
 	}
 	b0, _ := json.Marshal(res.Results[0].Metrics)

@@ -29,13 +29,12 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	const grid = 8
 	body := sweepBody(grid)
 
-	counter1 := &solveCounter{}
-	s1 := newTest(t, Options{CacheDir: dir, Observer: counter1})
+	s1 := newTest(t, Options{CacheDir: dir})
 	if rec := postJSON(t, s1.Handler(), "/v1/sweep", body); rec.Code != http.StatusOK {
 		t.Fatalf("first sweep: status %d: %s", rec.Code, rec.Body)
 	}
-	if counter1.count() != grid {
-		t.Fatalf("first sweep ran %d solves, want %d", counter1.count(), grid)
+	if solverSolves(s1) != grid {
+		t.Fatalf("first sweep ran %d solves, want %d", solverSolves(s1), grid)
 	}
 	if ds := s1.DiskStats(); ds.Writes != grid || ds.Entries != grid {
 		t.Fatalf("disk tier after first sweep: %+v, want %d writes and entries", ds, grid)
@@ -47,14 +46,13 @@ func TestDiskTierSurvivesRestart(t *testing.T) {
 	// "Restart": a fresh server over the same cache directory. Its memory
 	// LRU is empty, so every point must come from disk — and none from the
 	// solver.
-	counter2 := &solveCounter{}
-	s2 := newTest(t, Options{CacheDir: dir, Observer: counter2})
+	s2 := newTest(t, Options{CacheDir: dir})
 	rec := postJSON(t, s2.Handler(), "/v1/sweep", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("second sweep: status %d: %s", rec.Code, rec.Body)
 	}
-	if counter2.count() != 0 {
-		t.Fatalf("second sweep ran %d solves, want 0", counter2.count())
+	if solverSolves(s2) != 0 {
+		t.Fatalf("second sweep ran %d solves, want 0", solverSolves(s2))
 	}
 	st := s2.Stats()
 	if st.DiskHits != grid {

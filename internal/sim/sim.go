@@ -172,6 +172,8 @@ func (c Config) validate() error {
 		return core.NewValidationError(ErrConfig, "IdleDist", "IdleWait and IdleDeterministic are incompatible")
 	case (c.BGBuffer > 0 || c.BG2Buffer > 0) && c.IdleRate <= 0 && c.IdleWait == nil:
 		return core.NewValidationError(ErrConfig, "IdleRate", "idle rate %g must be positive with a BG buffer", c.IdleRate)
+	case c.IdlePolicy != core.IdleWaitPerJob && c.IdlePolicy != core.IdleWaitPerPeriod:
+		return core.NewValidationError(ErrConfig, "IdlePolicy", "unknown idle-wait policy %d", int(c.IdlePolicy))
 	case !(c.ModFactor > 0 && c.ModFactor <= 1):
 		return core.NewValidationError(ErrConfig, "ModFactor", "modulation factor %g must lie in (0,1]", c.ModFactor)
 	case c.BGAdmit != core.AdmitAll && c.BGAdmit != core.AdmitUtilThreshold && c.BGAdmit != core.AdmitDeadline:

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,21 +57,28 @@ func softDev(t testing.TB, util, mu float64) *arrival.MAP {
 func TestValidation(t *testing.T) {
 	ap := poisson(t, 1)
 	tests := []struct {
-		name string
-		cfg  Config
+		name  string
+		cfg   Config
+		field string // checked when set
 	}{
-		{"nil arrival", Config{ServiceRate: 1, MeasureTime: 10}},
-		{"no service", Config{Arrival: ap, MeasureTime: 10}},
-		{"bad p", Config{Arrival: ap, ServiceRate: 2, BGProb: 2, MeasureTime: 10}},
-		{"no idle rate", Config{Arrival: ap, ServiceRate: 2, BGBuffer: 2, MeasureTime: 10}},
-		{"no window", Config{Arrival: ap, ServiceRate: 2}},
-		{"negative warmup", Config{Arrival: ap, ServiceRate: 2, MeasureTime: 1, WarmupTime: -1}},
-		{"one batch", Config{Arrival: ap, ServiceRate: 2, MeasureTime: 1, Batches: 1}},
+		{"nil arrival", Config{ServiceRate: 1, MeasureTime: 10}, ""},
+		{"no service", Config{Arrival: ap, MeasureTime: 10}, ""},
+		{"bad p", Config{Arrival: ap, ServiceRate: 2, BGProb: 2, MeasureTime: 10}, ""},
+		{"no idle rate", Config{Arrival: ap, ServiceRate: 2, BGBuffer: 2, MeasureTime: 10}, ""},
+		{"no window", Config{Arrival: ap, ServiceRate: 2}, ""},
+		{"negative warmup", Config{Arrival: ap, ServiceRate: 2, MeasureTime: 1, WarmupTime: -1}, ""},
+		{"one batch", Config{Arrival: ap, ServiceRate: 2, MeasureTime: 1, Batches: 1}, ""},
+		{"unknown idle policy", Config{Arrival: ap, ServiceRate: 2, BGProb: 0.5, BGBuffer: 2, IdleRate: 1, IdlePolicy: 7, MeasureTime: 10}, "IdlePolicy"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Run(tt.cfg); err == nil {
-				t.Error("invalid config accepted")
+			_, err := Run(tt.cfg)
+			if err == nil {
+				t.Fatal("invalid config accepted")
+			}
+			var verr *core.ValidationError
+			if tt.field != "" && (!errors.As(err, &verr) || verr.Field != tt.field) {
+				t.Errorf("want a validation error on %s, got %v", tt.field, err)
 			}
 		})
 	}

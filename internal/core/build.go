@@ -134,9 +134,8 @@ func (m *Model) buildComplCache() {
 // of b and yLeft foreground jobs: buffer space in the job's class is always
 // required, and the util-threshold policy (single-class models only)
 // additionally demands a foreground backlog of at most FGThreshold. Above
-// the model's boundaryTop level (yLeft > xEff + FGThreshold − x … ) the
-// answer is uniformly false under util-threshold, which keeps the repeating
-// chain level-homogeneous.
+// level FGThreshold + 1 the answer is uniformly false under util-threshold,
+// which keeps the repeating chain level-homogeneous.
 func (m *Model) admitBG(b block, yLeft int, class2 bool) bool {
 	if class2 {
 		return b.x2 < m.x2Eff
@@ -159,11 +158,13 @@ func (m *Model) serviceOff(mod bool) *mat.Matrix {
 	return m.tOff
 }
 
-// transitionsFrom emits every off-diagonal block transition out of the given
-// level, encoding the chain of the paper's Fig. 3/4 (with the service
-// dimension of footnote 3 folded into the composite phases).
-func (m *Model) transitionsFrom(level int) []trans {
-	blocks := m.levelBlocks(level)
+// transitionsFrom emits every off-diagonal block transition out of level y,
+// encoding the chain of the paper's Fig. 3/4 (with the service dimension of
+// footnote 3 folded into the composite phases). Levels count FG jobs, so
+// FG arrivals go up, every FG completion goes down, and all other
+// transitions stay within the level.
+func (m *Model) transitionsFrom(y int) []trans {
+	blocks := m.levelBlocks(y)
 	var (
 		cfg    = m.cfg
 		p, p2  = cfg.BGProb, cfg.BG2Prob
@@ -180,15 +181,14 @@ func (m *Model) transitionsFrom(level int) []trans {
 		if rate == nil {
 			return
 		}
-		toIdx := m.blockIndex(level+dLevel, to)
+		toIdx := m.blockIndex(y+dLevel, to)
 		if toIdx < 0 {
-			panic(fmt.Sprintf("core: unmapped transition level %d %+v -> %+v", level, blocks[fromIdx], to))
+			panic(fmt.Sprintf("core: unmapped transition level %d %+v -> %+v", y, blocks[fromIdx], to))
 		}
 		out = append(out, trans{dLevel: dLevel, fromIdx: fromIdx, toIdx: toIdx, rate: rate})
 	}
 	for i, b := range blocks {
 		fromIdx = i
-		y := level - b.x - b.x2 // FG jobs in system (0 for Empty/Idle by construction)
 		switch b.kind {
 		case KindEmpty:
 			emit(+1, block{kind: KindFG}, m.fStart)
@@ -219,7 +219,7 @@ func (m *Model) transitionsFrom(level int) []trans {
 					emit(-1, to, m.completionRate(to, prob, mod))
 					continue
 				}
-				// BG admitted: FG leaves, BG joins — same level.
+				// BG admitted: FG leaves, BG joins.
 				to := block{kind: KindFG, x: b.x, x2: b.x2}
 				if class2 {
 					to.x2++
@@ -229,12 +229,12 @@ func (m *Model) transitionsFrom(level int) []trans {
 				if y-1 == 0 {
 					to.kind = KindIdle
 				}
-				emit(0, to, m.completionRate(to, prob, mod))
+				emit(-1, to, m.completionRate(to, prob, mod))
 			}
 			if renege && b.x >= 1 {
 				// All b.x BG jobs wait during an FG service; each abandons
 				// at rate δ.
-				emit(-1, block{kind: KindFG, x: b.x - 1}, m.renegeServe[b.x])
+				emit(0, block{kind: KindFG, x: b.x - 1}, m.renegeServe[b.x])
 			}
 
 		case KindBG, KindBG2:
@@ -260,10 +260,10 @@ func (m *Model) transitionsFrom(level int) []trans {
 			default: // IdleWaitPerJob
 				to = block{kind: KindIdle, x: left.x, x2: left.x2}
 			}
-			emit(-1, to, m.completionRate(to, 1, true))
+			emit(0, to, m.completionRate(to, 1, true))
 			if renege && b.x >= 2 {
 				// The in-service BG job cannot renege; the other x−1 wait.
-				emit(-1, block{kind: KindBG, x: b.x - 1}, m.renegeServe[b.x-1])
+				emit(0, block{kind: KindBG, x: b.x - 1}, m.renegeServe[b.x-1])
 			}
 
 		case KindIdle:
@@ -279,9 +279,9 @@ func (m *Model) transitionsFrom(level int) []trans {
 				// abandons the timer and empties the system; earlier ones
 				// keep the idle stage running.
 				if b.x >= 2 {
-					emit(-1, block{kind: KindIdle, x: b.x - 1}, m.renegeIdle[b.x])
+					emit(0, block{kind: KindIdle, x: b.x - 1}, m.renegeIdle[b.x])
 				} else {
-					emit(-1, block{kind: KindEmpty}, m.renegeServe[1])
+					emit(0, block{kind: KindEmpty}, m.renegeServe[1])
 				}
 			}
 		}
@@ -289,17 +289,17 @@ func (m *Model) transitionsFrom(level int) []trans {
 	return out
 }
 
-// levelMatrices assembles (Down, Local, Up) for one level from the emitted
+// levelMatrices assembles (Down, Local, Up) for level y from the emitted
 // transitions, with the Local diagonal left at zero (fixed globally later).
-func (m *Model) levelMatrices(level int) (down, local, up *mat.Matrix) {
-	nHere := m.levelStates(level)
-	local = mat.New(nHere, nHere)
-	up = mat.New(nHere, m.levelStates(level+1))
-	if level > 0 {
-		down = mat.New(nHere, m.levelStates(level-1))
+func (m *Model) levelMatrices(y int) (down, local, up *mat.Matrix) {
+	n := m.levelStates()
+	local = mat.New(n, n)
+	up = mat.New(n, n)
+	if y > 0 {
+		down = mat.New(n, n)
 	}
 	a := m.Phases()
-	for _, tr := range m.transitionsFrom(level) {
+	for _, tr := range m.transitionsFrom(y) {
 		var dst *mat.Matrix
 		switch tr.dLevel {
 		case -1:
@@ -328,12 +328,16 @@ func fixDiagonal(local *mat.Matrix, others ...*mat.Matrix) {
 	}
 }
 
-// qbdBlocks builds the boundary (levels 0..boundaryTop) and repeating
-// (levels > boundaryTop) blocks of the chain. boundaryTop is X except under
-// the util-threshold admission policy, whose level-dependent admission
-// pushes the homogeneous region up to X + K + 1.
+// qbdBlocks builds the boundary and repeating blocks of the chain. The
+// boundary is level 0, whose layout holds the empty, idle-wait and y = 0
+// BG-serving states. Under the util-threshold admission policy, admission
+// depends on the FG count, so the boundary spans levels 0..K+1 and the
+// repeating region starts where every admission is denied.
 func (m *Model) qbdBlocks() (qbd.Boundary, *qbd.Process, error) {
-	top := m.boundaryTop
+	top := 0
+	if m.cfg.BGAdmit == AdmitUtilThreshold && m.xEff > 0 {
+		top = m.cfg.FGThreshold + 1
+	}
 	boundary := qbd.Boundary{
 		Local: make([]*mat.Matrix, top+1),
 		Up:    make([]*mat.Matrix, top+1),
@@ -346,15 +350,13 @@ func (m *Model) qbdBlocks() (qbd.Boundary, *qbd.Process, error) {
 		boundary.Up[j] = up
 		boundary.Down[j] = down
 	}
-	// Transitions from the first repeating level down into the last
-	// boundary level differ structurally from the homogeneous A2 (they can
-	// enter idle-wait states), so they are built explicitly.
+	// FG completions from the first repeating level can enter level 0's
+	// idle-wait and empty states, so its down block is built explicitly.
 	repDown, _, _ := m.levelMatrices(top + 1)
 	boundary.RepDown = repDown
 
-	// The repeating blocks are built at a virtual level two past the
-	// boundary, where both neighbouring levels already have the repeating
-	// layout.
+	// The repeating blocks are built at a level two past the boundary,
+	// whose neighbours both have the repeating layout.
 	a2, a1, a0 := m.levelMatrices(top + 2)
 	fixDiagonal(a1, a0, a2)
 	proc, err := qbd.New(a0, a1, a2)
@@ -375,27 +377,22 @@ func (m *Model) ChainBlocks() (a0, a1, a2 *mat.Matrix, err error) {
 }
 
 // Generator builds the truncated global generator covering levels
-// 0..maxLevel, with down-only truncation at the top (the top level keeps its
-// true diagonal minus up-rates, so row sums are zero). Intended for tests and
-// brute-force validation on small instances.
+// 0..maxLevel (FG counts up to maxLevel), with down-only truncation at the
+// top (the top level keeps its true diagonal minus up-rates, so row sums are
+// zero). Intended for tests and brute-force validation on small instances.
 func (m *Model) Generator(maxLevel int) *mat.Matrix {
-	offsets := make([]int, maxLevel+1)
-	total := 0
-	for j := 0; j <= maxLevel; j++ {
-		offsets[j] = total
-		total += m.levelStates(j)
-	}
-	g := mat.New(total, total)
+	n := m.levelStates()
+	g := mat.New((maxLevel+1)*n, (maxLevel+1)*n)
 	a := m.Phases()
 	for j := 0; j <= maxLevel; j++ {
 		for _, tr := range m.transitionsFrom(j) {
-			if j+tr.dLevel > maxLevel || j+tr.dLevel < 0 {
+			if j+tr.dLevel > maxLevel {
 				continue
 			}
-			g.AddBlockAt(offsets[j]+tr.fromIdx*a, offsets[j+tr.dLevel]+tr.toIdx*a, tr.rate)
+			g.AddBlockAt(j*n+tr.fromIdx*a, (j+tr.dLevel)*n+tr.toIdx*a, tr.rate)
 		}
 	}
-	for i := 0; i < total; i++ {
+	for i := 0; i < g.Rows(); i++ {
 		g.Add(i, i, -g.RowSum(i))
 	}
 	return g

@@ -10,18 +10,25 @@
 // (rate α); a BG job generated while the buffer is full is dropped. Neither
 // class preempts the other — the disk-seek argument of the paper.
 //
-// The resulting Markov chain, levelled by the total job count x+y, is a
-// Quasi-Birth-Death process with X+1 boundary levels; package qbd solves it
-// with the matrix-geometric method, and Solution exposes the paper's four
-// metrics (FG queue length, FG-delayed percentage, BG completion rate, BG
-// queue length) plus supporting rates and distributions.
+// The resulting Markov chain is a Quasi-Birth-Death process. The paper
+// levels it by the total job count x+y (Eq. 5); this package levels it by
+// the FG count y and carries the server condition and the BG count x in
+// the phase. That is the same chain: FG arrivals move up a level, every FG
+// completion (with or without generating a BG job) moves down one, and
+// everything else stays within a level. Idle-wait, empty, and y = 0
+// BG-serving states exist only at level 0, so the boundary is level 0 alone
+// (levels 0..K+1 under the util-threshold admission policy, whose admission
+// depends on y). Package qbd solves the chain with the matrix-geometric
+// method, and Solution exposes the paper's four metrics (FG queue length,
+// FG-delayed percentage, BG completion rate, BG queue length) plus
+// supporting rates and distributions.
 //
 // Config.BG2Prob adds the extension the paper announces as future work
 // (Sec. 6): a second, low-priority BG class with its own buffer, served
 // only when no class-1 job waits. It is one more dimension of the same
-// builder — blocks carry a class-2 count, the boundary spans X+X2+1 levels —
-// so it composes with the PH/MAP service, PH idle-wait, and modulation
-// kernels unchanged; Metrics.BG2 reports the class-2 metrics.
+// builder — blocks carry a class-2 count — so it composes with the PH/MAP
+// service, PH idle-wait, and modulation kernels unchanged; Metrics.BG2
+// reports the class-2 metrics.
 package core
 
 import (
@@ -305,8 +312,7 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // block identifies one group of MAP phases within a level: the paper's
-// (x,y) / (x',y) / idle-wait states. The FG count y is implied by the level:
-// y = level − x − x2.
+// (x,y) / (x',y) / idle-wait states. The FG count y is the level.
 //
 // In a two-class model a class-2 service can start only when no class-1
 // job is buffered, and no class-1 job can appear while it runs (BG jobs are
@@ -376,26 +382,17 @@ type Model struct {
 	complCache    [3][4]*mat.Matrix
 	complCacheMod [3][4]*mat.Matrix
 
-	// blockLayout[j] caches levelBlocks(j) for the boundary levels
-	// j = 0..xEff+x2Eff; repLayout is the shared layout of every repeating
-	// level above them. Chain assembly resolves block indices per
-	// transition, so levelBlocks must not allocate per call. The cached
-	// slices are shared: callers must not modify them.
-	blockLayout [][]block
-	repLayout   []block
+	// zeroLayout is the block layout of level 0 and repLayout that of every
+	// level above it. Chain assembly resolves block indices per transition,
+	// so levelBlocks must not allocate per call; the slices are shared and
+	// callers must not modify them.
+	zeroLayout, repLayout []block
 
 	// xEff and x2Eff are the class buffer sizes used for state-space
 	// construction: they equal cfg.BGBuffer and cfg.BG2Buffer except when
 	// the matching probability is 0, where that class's states are
 	// unreachable and are pruned to keep the phase process irreducible.
 	xEff, x2Eff int
-
-	// boundaryTop is the last level treated as a QBD boundary level. It
-	// equals xEff + x2Eff except under AdmitUtilThreshold, where admission
-	// depends on the foreground backlog K = FGThreshold: levels up to
-	// xEff + K + 1 can still admit BG jobs, and only above that is every
-	// admission uniformly denied, making the chain level-homogeneous.
-	boundaryTop int
 }
 
 // NewModel validates cfg and prepares the chain builder.
@@ -566,10 +563,6 @@ func NewModel(cfg Config) (*Model, error) {
 	} else {
 		m.tOffMod = m.tOff
 	}
-	m.boundaryTop = xEff + x2Eff
-	if cfg.BGAdmit == AdmitUtilThreshold && xEff > 0 {
-		m.boundaryTop = xEff + cfg.FGThreshold + 1
-	}
 	if cfg.BGAdmit == AdmitDeadline && xEff > 0 {
 		paused := iA.Kron(iS).Kron(collapse)
 		pausedIdle := iA.Kron(iS).Kron(iW)
@@ -582,11 +575,8 @@ func NewModel(cfg Config) (*Model, error) {
 		}
 	}
 	m.buildComplCache()
-	m.blockLayout = make([][]block, xEff+x2Eff+1)
-	for j := range m.blockLayout {
-		m.blockLayout[j] = buildLevelBlocks(j, xEff, x2Eff)
-	}
-	m.repLayout = buildLevelBlocks(xEff+x2Eff+1, xEff, x2Eff)
+	m.zeroLayout = buildLevelBlocks(0, xEff, x2Eff)
+	m.repLayout = buildLevelBlocks(1, xEff, x2Eff)
 	dim := a * sN * wN
 	m.rateVec = make([]float64, dim)
 	m.exitVec = make([]float64, dim)
@@ -651,35 +641,32 @@ func (m *Model) FGUtilization() float64 {
 	return m.cfg.Arrival.Rate() / m.mu
 }
 
-// levelBlocks enumerates the blocks of one level in the paper's π order:
-// (0,j), then (x,j−x) and (x',j−x) for growing x, ending at boundary levels
-// with the idle-wait pair (j,0), (j',0). The returned slice is cached and
-// shared — callers must treat it as read-only.
-func (m *Model) levelBlocks(level int) []block {
-	if level < len(m.blockLayout) {
-		return m.blockLayout[level]
+// levelBlocks returns the block layout of level y. Both layouts list the
+// blocks grouped by their BG counts (x, x2) in lexicographic order, and each
+// group lists its FG-serving block (idle-wait at level 0, or empty when
+// x = x2 = 0) before its BG-serving one, so a single-class level reads
+// (0,y), (1,y), (1',y), … as in the paper. The slice is shared — callers
+// must treat it as read-only.
+func (m *Model) levelBlocks(y int) []block {
+	if y == 0 {
+		return m.zeroLayout
 	}
 	return m.repLayout
 }
 
-// buildLevelBlocks constructs the block layout of one level for class
+// buildLevelBlocks constructs the block layout of level y for class
 // buffers of sizes x and x2; levelBlocks serves cached copies of these.
-// Blocks are grouped by their BG counts (x, x2) in lexicographic order, and
-// each group lists its FG-serving, idle-wait, and BG-serving blocks in that
-// order, so a single-class level (x2 = 0) reads (0,j), (1,j−1), (1',j−1), …
-// exactly as in the paper.
-func buildLevelBlocks(level, x, x2 int) []block {
-	if level == 0 {
-		return []block{{kind: KindEmpty}}
-	}
+func buildLevelBlocks(y, x, x2 int) []block {
 	blocks := make([]block, 0, 2*(x+1)*(x2+1))
-	for i := 0; i <= x && i <= level; i++ {
-		for k := 0; k <= x2 && i+k <= level; k++ {
-			switch y := level - i - k; {
+	for i := 0; i <= x; i++ {
+		for k := 0; k <= x2; k++ {
+			switch {
 			case y >= 1:
 				blocks = append(blocks, block{kind: KindFG, x: i, x2: k})
 			case i+k >= 1:
 				blocks = append(blocks, block{kind: KindIdle, x: i, x2: k})
+			default:
+				blocks = append(blocks, block{kind: KindEmpty})
 			}
 			switch {
 			case i >= 1:
@@ -702,7 +689,8 @@ func (m *Model) blockIndex(level int, b block) int {
 	return -1
 }
 
-// levelStates returns the number of chain states in one level.
-func (m *Model) levelStates(level int) int {
-	return len(m.levelBlocks(level)) * m.Phases()
+// levelStates returns the number of chain states in a level; both layouts
+// have the same count.
+func (m *Model) levelStates() int {
+	return len(m.repLayout) * m.Phases()
 }

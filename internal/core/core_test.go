@@ -97,30 +97,45 @@ func TestLevelBlockLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	two, err := NewModel(twoClassCfg(t, poisson(t, 1), 2, 0.3, 0.3, 1, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	tests := []struct {
+		m     *Model
 		level int
 		want  []block
 	}{
-		{0, []block{{kind: KindEmpty}}},
-		{1, []block{{kind: KindFG, x: 0}, {kind: KindIdle, x: 1}, {kind: KindBG, x: 1}}},
-		{2, []block{
-			{kind: KindFG, x: 0},
-			{kind: KindFG, x: 1}, {kind: KindBG, x: 1},
+		{m, 0, []block{
+			{kind: KindEmpty},
+			{kind: KindIdle, x: 1}, {kind: KindBG, x: 1},
 			{kind: KindIdle, x: 2}, {kind: KindBG, x: 2},
 		}},
-		{3, []block{
+		{m, 1, []block{
 			{kind: KindFG, x: 0},
 			{kind: KindFG, x: 1}, {kind: KindBG, x: 1},
 			{kind: KindFG, x: 2}, {kind: KindBG, x: 2},
 		}},
-		{4, []block{
+		{m, 4, []block{
 			{kind: KindFG, x: 0},
 			{kind: KindFG, x: 1}, {kind: KindBG, x: 1},
 			{kind: KindFG, x: 2}, {kind: KindBG, x: 2},
+		}},
+		{two, 0, []block{
+			{kind: KindEmpty},
+			{kind: KindIdle, x2: 1}, {kind: KindBG2, x2: 1},
+			{kind: KindIdle, x: 1}, {kind: KindBG, x: 1},
+			{kind: KindIdle, x: 1, x2: 1}, {kind: KindBG, x: 1, x2: 1},
+		}},
+		{two, 1, []block{
+			{kind: KindFG},
+			{kind: KindFG, x2: 1}, {kind: KindBG2, x2: 1},
+			{kind: KindFG, x: 1}, {kind: KindBG, x: 1},
+			{kind: KindFG, x: 1, x2: 1}, {kind: KindBG, x: 1, x2: 1},
 		}},
 	}
 	for _, tt := range tests {
-		got := m.levelBlocks(tt.level)
+		got := tt.m.levelBlocks(tt.level)
 		if len(got) != len(tt.want) {
 			t.Fatalf("level %d: %d blocks, want %d", tt.level, len(got), len(tt.want))
 		}
@@ -129,6 +144,14 @@ func TestLevelBlockLayout(t *testing.T) {
 				t.Errorf("level %d block %d = %+v, want %+v", tt.level, i, got[i], tt.want[i])
 			}
 		}
+	}
+	// Under blind admission the boundary is level 0 alone.
+	boundary, _, err := m.qbdBlocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(boundary.Local) != 1 {
+		t.Errorf("%d boundary levels, want 1", len(boundary.Local))
 	}
 }
 
@@ -393,8 +416,7 @@ func TestBruteForceAgreement(t *testing.T) {
 						mass += pi[idx]
 						idx++
 					}
-					y := j - b.x - b.x2
-					qlenFG += float64(y) * mass
+					qlenFG += float64(j) * mass
 					qlenBG += float64(b.x) * mass
 					qlenBG2 += float64(b.x2) * mass
 					switch b.kind {
@@ -470,7 +492,7 @@ func TestBruteForceAgreementPerPeriodPolicy(t *testing.T) {
 		for _, b := range m.levelBlocks(j) {
 			mass := pi[idx]
 			idx++
-			qlenFG += float64(j-b.x) * mass
+			qlenFG += float64(j) * mass
 			if b.kind == KindBG {
 				utilBG += mass
 			}
@@ -750,7 +772,7 @@ func TestOrder3MMPPBruteForce(t *testing.T) {
 				mass += pi[idx]
 				idx++
 			}
-			qlenFG += float64(j-b.x) * mass
+			qlenFG += float64(j) * mass
 			if b.kind == KindBG {
 				utilBG += mass
 			}

@@ -142,7 +142,7 @@ func TestServiceMAPBruteForce(t *testing.T) {
 				mass += pi[idx]
 				idx++
 			}
-			qlenFG += float64(j-b.x) * mass
+			qlenFG += float64(j) * mass
 			switch b.kind {
 			case KindFG:
 				utilFG += mass

@@ -66,7 +66,7 @@ func TestBruteForceAgreementModulated(t *testing.T) {
 		for _, b := range m.levelBlocks(j) {
 			mass := pi[idx] // exponential service, Poisson arrivals: 1 phase
 			idx++
-			qlenFG += float64(j-b.x) * mass
+			qlenFG += float64(j) * mass
 			speed := 1.0
 			if b.x >= 1 {
 				speed = phi
@@ -117,8 +117,12 @@ func TestBruteForceAgreementUtilThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := cfg.BGBuffer + cfg.FGThreshold + 1; m.boundaryTop != want {
-		t.Fatalf("boundaryTop = %d, want %d", m.boundaryTop, want)
+	boundary, _, err := m.qbdBlocks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(boundary.Local), cfg.FGThreshold+2; got != want {
+		t.Fatalf("%d boundary levels, want %d", got, want)
 	}
 	s, err := m.Solve()
 	if err != nil {
@@ -137,11 +141,11 @@ func TestBruteForceAgreementUtilThreshold(t *testing.T) {
 		for _, b := range m.levelBlocks(j) {
 			mass := pi[idx]
 			idx++
-			qlenFG += float64(j-b.x) * mass
+			qlenFG += float64(j) * mass
 			qlenBG += float64(b.x) * mass
 			if b.kind == KindFG {
 				complFG += mass * mu
-				if !m.admitBG(b, j-b.x-1, false) {
+				if !m.admitBG(b, j-1, false) {
 					complDenied += mass * mu
 				}
 			}

@@ -96,7 +96,7 @@ func TestPHIdleBruteForce(t *testing.T) {
 				mass += pi[idx]
 				idx++
 			}
-			qlenFG += float64(j-b.x) * mass
+			qlenFG += float64(j) * mass
 			switch b.kind {
 			case KindBG:
 				utilBG += mass

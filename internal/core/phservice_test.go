@@ -134,7 +134,7 @@ func TestPHServiceBruteForce(t *testing.T) {
 				mass += pi[idx]
 				idx++
 			}
-			qlenFG += float64(j-b.x) * mass
+			qlenFG += float64(j) * mass
 			switch b.kind {
 			case KindFG:
 				utilFG += mass

@@ -19,21 +19,22 @@ type TransientPoint struct {
 }
 
 // Transient computes the time-dependent behaviour of the chain by
-// uniformization on the generator truncated at maxLevel (arrivals are
-// suppressed at the truncation level, so choose maxLevel well above the
-// occupancies reached within the horizon — a safe rule is several times the
+// uniformization on the generator truncated at maxLevel FG jobs (arrivals
+// are suppressed at the truncation level, so choose maxLevel well above the
+// FG counts reached within the horizon — a safe rule is several times the
 // stationary QLenFG). Times must be nondecreasing.
 func (m *Model) Transient(maxLevel int, times []float64) ([]TransientPoint, error) {
 	if top := m.xEff + m.x2Eff + 2; maxLevel < top {
 		return nil, fmt.Errorf("%w: truncation level %d below boundary %d", ErrConfig, maxLevel, top)
 	}
 	g := m.Generator(maxLevel)
-	// Initial vector: empty system, time-stationary arrival phase, service
-	// stage parked at 0 (the dummy stage used by non-serving states).
+	// Initial vector: empty system (block 0 of level 0), time-stationary
+	// arrival phase, service and idle stages parked at 0 (the dummy stages
+	// of non-serving states).
 	pi0 := make([]float64, g.Rows())
 	arrPi := m.cfg.Arrival.TimeStationary()
 	for a, v := range arrPi {
-		pi0[a*m.sPhases] = v
+		pi0[a*m.sPhases*m.wPhases] = v
 	}
 	dists, err := markov.Transient(g, pi0, times)
 	if err != nil {
@@ -51,7 +52,7 @@ func (m *Model) Transient(maxLevel int, times []float64) ([]TransientPoint, erro
 					mass += dist[idx]
 					idx++
 				}
-				pt.QLenFG += float64(j-b.x-b.x2) * mass
+				pt.QLenFG += float64(j) * mass
 				pt.QLenBG += float64(b.x) * mass
 				switch b.kind {
 				case KindFG:

@@ -163,7 +163,18 @@ func TestBlockProcessAgainstOracles(t *testing.T) {
 // solve: RSolved carries the largest per-block iteration count, the
 // convergence trace is that block's, and sp(R) is the Solution's.
 func TestObserverReportsLongestBlock(t *testing.T) {
+	// Slow the first block (down rate 0.35 against up 0.3) so the two
+	// blocks need different iteration counts.
 	p := blockProcess(t, 8, 3)
+	a1, a2 := p.A1(), p.A2()
+	for i := 0; i < 3; i++ {
+		a1.Add(i, i, a2.At(i, i)-0.35)
+		a2.Set(i, i, 0.35)
+	}
+	p, err := New(p.A0(), a1, a2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	diag := obs.NewDiagnostics()
 	b := Boundary{
 		Local: []*mat.Matrix{p.A1().AddMat(p.A2())},

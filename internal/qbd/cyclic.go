@@ -20,8 +20,10 @@ func MulBudget(iters int) int64 { return int64(4 * iters) }
 // iterate decays multiplicatively (quadratically in exact arithmetic, and
 // rounding cannot stall a product of substochastic factors), so the
 // threshold is always reached and overshooting it costs at most one cheap
-// extra iteration while guaranteeing G to near machine precision.
-const crTol = 1e-14
+// extra iteration. The truncation error of G is of the order of the last
+// residual, so the threshold sits below the unit roundoff: a run stopped at
+// 5e-15 leaves G entries about 70 ulps off.
+const crTol = 1e-16
 
 // maxCRIter bounds the iterations of one cyclic-reduction run.
 const maxCRIter = 200

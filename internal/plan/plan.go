@@ -23,9 +23,10 @@
 // An SLO that fails even at the safe endpoint (p = 0, X = 0, a vanishing α,
 // or φ = 1) is reported with ErrInfeasible, never silently clamped. A
 // saturated foreground load (qbd.ErrUnstable) is likewise infeasible for p,
-// X, and α, whose values cannot affect stability; for the φ search — where a
-// deep modulation CAN saturate an otherwise stable model — a saturated
-// candidate is just an infeasible point.
+// X, and α, whose values cannot affect stability, and for φ = 1, where no
+// modulation is left to blame; below φ = 1 — where a deep modulation CAN
+// saturate an otherwise stable model — a saturated candidate is just an
+// infeasible point.
 package plan
 
 import (
@@ -431,7 +432,7 @@ func (s *searcher) eval(val float64) (core.Metrics, bool, error) {
 // evalAt is the goroutine-safe core of eval: it owns no searcher state, so
 // the neighborhood fan-out can call it concurrently. A saturated model maps
 // to ErrInfeasible directly, since stability does not depend on p, X, or α
-// and no value can rescue it; only φ can saturate the model itself.
+// and no value can rescue it; only φ < 1 can saturate the model itself.
 func evalAt(cfg core.Config, slo SLO, opts Options, val float64) (core.Metrics, bool, error) {
 	if opts.Ctx != nil {
 		if err := opts.Ctx.Err(); err != nil {
@@ -455,7 +456,7 @@ func evalAt(cfg core.Config, slo SLO, opts Options, val float64) (core.Metrics, 
 	sol, err := model.SolveObserved(opts.Observer)
 	if err != nil {
 		if errors.Is(err, qbd.ErrUnstable) {
-			if opts.Var == VarModFactor {
+			if opts.Var == VarModFactor && val < 1 {
 				// Stability DOES depend on φ: a deep modulation can saturate
 				// a model that is comfortably stable at φ = 1. A saturated
 				// candidate is simply an infeasible point of the search, not

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"bgperf/internal/core"
@@ -124,9 +125,13 @@ func TestMaximizeUnstableIsInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Arrival = m
-	_, err = Maximize(cfg, SLO{QLenFG: 100}, Options{Var: VarBGProb})
-	if !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("saturated FG load: want ErrInfeasible, got %v", err)
+	// Every variable, φ included, blames the foreground load: at φ = 1 no
+	// modulation is left to lift.
+	for _, v := range []Var{VarBGProb, VarBGBuffer, VarIdleRate, VarModFactor} {
+		_, err = Maximize(cfg, SLO{QLenFG: 100}, Options{Var: v})
+		if !errors.Is(err, ErrInfeasible) || !strings.Contains(err.Error(), "foreground load alone saturates the server") {
+			t.Errorf("var=%s, saturated FG load: want the saturation ErrInfeasible, got %v", v, err)
+		}
 	}
 }
 

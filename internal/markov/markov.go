@@ -1,6 +1,6 @@
-// Package markov provides continuous- and discrete-time Markov chain
-// utilities: generator and stochastic-matrix validation, stationary
-// distributions of finite irreducible chains, and uniformization.
+// Package markov provides Markov chain utilities: generator validation,
+// stationary distributions of finite irreducible CTMCs, uniformization, and
+// transient distributions.
 //
 // These primitives underpin both the arrival-process library (stationary
 // phase vectors of MMPPs) and the QBD solver (drift conditions, cyclic
@@ -32,9 +32,6 @@ func ResetStationaryCalls() { stationaryCount.Store(0) }
 // ErrNotGenerator reports a matrix that is not a CTMC infinitesimal
 // generator (nonnegative off-diagonal entries, zero row sums).
 var ErrNotGenerator = errors.New("markov: not an infinitesimal generator")
-
-// ErrNotStochastic reports a matrix that is not row stochastic.
-var ErrNotStochastic = errors.New("markov: not a stochastic matrix")
 
 // ErrReducible reports a chain whose stationary system is singular, which for
 // our use means the chain is reducible or otherwise degenerate.
@@ -78,34 +75,6 @@ func CheckGenerator(q *mat.Matrix, tol float64) error {
 	return nil
 }
 
-// CheckStochastic verifies that p is a row-stochastic matrix within tol.
-func CheckStochastic(p *mat.Matrix, tol float64) error {
-	if tol <= 0 {
-		tol = defaultTol
-	}
-	n := p.Rows()
-	if n != p.Cols() {
-		return fmt.Errorf("%w: %dx%d is not square", ErrNotStochastic, p.Rows(), p.Cols())
-	}
-	if !p.IsFinite() {
-		return fmt.Errorf("%w: non-finite entries", ErrNotStochastic)
-	}
-	for i := 0; i < n; i++ {
-		var sum float64
-		for j := 0; j < n; j++ {
-			v := p.At(i, j)
-			if v < -tol {
-				return fmt.Errorf("%w: negative entry %g at (%d,%d)", ErrNotStochastic, v, i, j)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > tol {
-			return fmt.Errorf("%w: row %d sums to %g", ErrNotStochastic, i, sum)
-		}
-	}
-	return nil
-}
-
 // StationaryCTMC returns the stationary probability vector π of the
 // irreducible CTMC with generator q: πQ = 0, πe = 1.
 func StationaryCTMC(q *mat.Matrix) ([]float64, error) {
@@ -113,16 +82,6 @@ func StationaryCTMC(q *mat.Matrix) ([]float64, error) {
 	if err := CheckGenerator(q, 0); err != nil {
 		return nil, err
 	}
-	return stationaryFromSingular(q)
-}
-
-// StationaryDTMC returns the stationary probability vector π of the
-// irreducible DTMC with transition matrix p: πP = π, πe = 1.
-func StationaryDTMC(p *mat.Matrix) ([]float64, error) {
-	if err := CheckStochastic(p, 0); err != nil {
-		return nil, err
-	}
-	q := p.SubMat(mat.Identity(p.Rows()))
 	return stationaryFromSingular(q)
 }
 
@@ -185,41 +144,4 @@ func Uniformize(q *mat.Matrix) (*mat.Matrix, float64) {
 		p.Add(i, i, 1)
 	}
 	return p, theta
-}
-
-// EmbeddedDTMC returns the jump-chain transition matrix of the CTMC with
-// generator q: P[i][j] = q_ij / (−q_ii) for i ≠ j. States with zero exit rate
-// (absorbing) get a self-loop.
-func EmbeddedDTMC(q *mat.Matrix) *mat.Matrix {
-	n := q.Rows()
-	p := mat.New(n, n)
-	for i := 0; i < n; i++ {
-		exit := -q.At(i, i)
-		if exit <= 0 {
-			p.Set(i, i, 1)
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if j != i {
-				p.Set(i, j, q.At(i, j)/exit)
-			}
-		}
-	}
-	return p
-}
-
-// ExpectedHoldingTimes returns the mean sojourn time 1/(−q_ii) per state;
-// +Inf for absorbing states.
-func ExpectedHoldingTimes(q *mat.Matrix) []float64 {
-	n := q.Rows()
-	h := make([]float64, n)
-	for i := 0; i < n; i++ {
-		exit := -q.At(i, i)
-		if exit <= 0 {
-			h[i] = math.Inf(1)
-			continue
-		}
-		h[i] = 1 / exit
-	}
-	return h
 }

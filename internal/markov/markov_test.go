@@ -2,6 +2,7 @@ package markov
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -40,21 +41,6 @@ func TestCheckGeneratorRejects(t *testing.T) {
 				t.Error("invalid generator accepted")
 			}
 		})
-	}
-}
-
-func TestCheckStochastic(t *testing.T) {
-	p := mat.MustFromRows([][]float64{{0.25, 0.75}, {0.5, 0.5}})
-	if err := CheckStochastic(p, 0); err != nil {
-		t.Errorf("valid stochastic matrix rejected: %v", err)
-	}
-	bad := mat.MustFromRows([][]float64{{0.5, 0.4}, {0.5, 0.5}})
-	if err := CheckStochastic(bad, 0); err == nil {
-		t.Error("defective stochastic matrix accepted")
-	}
-	neg := mat.MustFromRows([][]float64{{1.5, -0.5}, {0.5, 0.5}})
-	if err := CheckStochastic(neg, 0); err == nil {
-		t.Error("negative entry accepted")
 	}
 }
 
@@ -98,47 +84,42 @@ func TestStationaryCTMCReducible(t *testing.T) {
 	}
 }
 
-func TestStationaryDTMC(t *testing.T) {
-	p := mat.MustFromRows([][]float64{{0.5, 0.5}, {0.25, 0.75}})
-	pi, err := StationaryDTMC(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Balance: pi0*0.5 = pi1*0.25 => pi = (1/3, 2/3).
-	if math.Abs(pi[0]-1.0/3) > 1e-12 {
-		t.Errorf("pi = %v, want [1/3 2/3]", pi)
-	}
-}
-
-func TestStationaryDTMCIdentityReducible(t *testing.T) {
-	if _, err := StationaryDTMC(mat.Identity(3)); err == nil {
-		t.Error("identity DTMC (reducible) accepted")
-	}
-}
-
 func TestUniformize(t *testing.T) {
 	q := twoStateGen(1, 4)
 	p, theta := Uniformize(q)
 	if theta < 4 {
 		t.Errorf("theta = %v, want >= 4", theta)
 	}
-	if err := CheckStochastic(p, 1e-9); err != nil {
+	if err := checkStochastic(p, 1e-9); err != nil {
 		t.Errorf("uniformized matrix not stochastic: %v", err)
 	}
-	// Same stationary distribution.
+	// Same stationary distribution: the CTMC's π is invariant under P.
 	piQ, err := StationaryCTMC(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	piP, err := StationaryDTMC(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	piP := p.VecMulInto(make([]float64, len(piQ)), piQ)
 	for i := range piQ {
 		if math.Abs(piQ[i]-piP[i]) > 1e-9 {
-			t.Errorf("stationary mismatch at %d: ctmc %v dtmc %v", i, piQ[i], piP[i])
+			t.Errorf("stationary mismatch at %d: π %v, πP %v", i, piQ[i], piP[i])
 		}
 	}
+}
+
+// checkStochastic reports the first negative entry or row sum off 1 by
+// more than tol.
+func checkStochastic(p *mat.Matrix, tol float64) error {
+	for i := 0; i < p.Rows(); i++ {
+		for j, v := range p.RowView(i) {
+			if v < -tol {
+				return fmt.Errorf("negative entry %g at (%d,%d)", v, i, j)
+			}
+		}
+		if s := p.RowSum(i); math.Abs(s-1) > tol {
+			return fmt.Errorf("row %d sums to %g", i, s)
+		}
+	}
+	return nil
 }
 
 func TestUniformizeZeroPanics(t *testing.T) {
@@ -148,43 +129,6 @@ func TestUniformizeZeroPanics(t *testing.T) {
 		}
 	}()
 	Uniformize(mat.New(2, 2))
-}
-
-func TestEmbeddedDTMC(t *testing.T) {
-	q := mat.MustFromRows([][]float64{
-		{-2, 1, 1},
-		{0, -3, 3},
-		{1, 1, -2},
-	})
-	p := EmbeddedDTMC(q)
-	if err := CheckStochastic(p, 1e-12); err != nil {
-		t.Fatalf("embedded chain not stochastic: %v", err)
-	}
-	if p.At(0, 1) != 0.5 || p.At(1, 2) != 1 {
-		t.Errorf("unexpected embedded chain: %v", p)
-	}
-}
-
-func TestEmbeddedDTMCAbsorbing(t *testing.T) {
-	q := mat.MustFromRows([][]float64{
-		{-1, 1},
-		{0, 0},
-	})
-	p := EmbeddedDTMC(q)
-	if p.At(1, 1) != 1 {
-		t.Errorf("absorbing state should self-loop, got %v", p)
-	}
-}
-
-func TestExpectedHoldingTimes(t *testing.T) {
-	q := mat.MustFromRows([][]float64{
-		{-4, 4},
-		{0, 0},
-	})
-	h := ExpectedHoldingTimes(q)
-	if h[0] != 0.25 || !math.IsInf(h[1], 1) {
-		t.Errorf("holding times = %v", h)
-	}
 }
 
 // randomGenerator builds an irreducible generator with positive off-diagonal
@@ -237,11 +181,11 @@ func TestQuickUniformizePreservesStationary(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomGenerator(rng, n)
 		p, _ := Uniformize(q)
-		piQ, err1 := StationaryCTMC(q)
-		piP, err2 := StationaryDTMC(p)
-		if err1 != nil || err2 != nil {
+		piQ, err := StationaryCTMC(q)
+		if err != nil || checkStochastic(p, 1e-9) != nil {
 			return false
 		}
+		piP := p.VecMulInto(make([]float64, n), piQ)
 		for i := range piQ {
 			if math.Abs(piQ[i]-piP[i]) > 1e-8 {
 				return false

@@ -611,7 +611,7 @@ func cmdTransient(args []string, out io.Writer) error {
 	var (
 		horizon  = fs.Float64("horizon", 500, "trajectory horizon in ms")
 		points   = fs.Int("points", 10, "number of evenly spaced time points")
-		maxLevel = fs.Int("maxlevel", 60, "chain truncation level (raise for high loads)")
+		maxLevel = fs.Int("maxlevel", 60, "chain truncation: the largest foreground count kept (raise for high loads)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"bgperf/internal/phtype"
 )
 
 func TestTransientStartsEmpty(t *testing.T) {
@@ -104,6 +106,36 @@ func TestTransientWithMMPPPhases(t *testing.T) {
 		total := pt.UtilFG + pt.UtilBG + pt.ProbIdleWait + pt.ProbEmpty
 		if math.Abs(total-1) > 1e-9 {
 			t.Errorf("t=%v: server states sum to %v", pt.Time, total)
+		}
+	}
+}
+
+func TestTransientPHIdleStartsInArrivalMix(t *testing.T) {
+	// Without BG work the idle-wait law cannot matter, so an Erlang idle
+	// wait must reproduce the exponential one's trajectory: the initial
+	// vector puts each arrival phase's mass on that phase's parked state.
+	exp := mmppCfg(t, 0.4, 1.0/6, 0, 5, 1.0/6)
+	erl := exp
+	erl.IdleRate = 0
+	var err error
+	if erl.IdleWait, err = phtype.Erlang(2, 1.0/3); err != nil {
+		t.Fatal(err)
+	}
+	times := []float64{50, 200, 1000}
+	var pts [2][]TransientPoint
+	for i, cfg := range []Config{exp, erl} {
+		m, err := NewModel(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pts[i], err = m.Transient(80, times); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := range times {
+		a, b := pts[0][k], pts[1][k]
+		if math.Abs(a.QLenFG-b.QLenFG) > 1e-9*(1+a.QLenFG) || math.Abs(a.ProbEmpty-b.ProbEmpty) > 1e-9 {
+			t.Errorf("t=%g: exponential idle %+v, Erlang idle %+v", times[k], a, b)
 		}
 	}
 }

@@ -84,11 +84,11 @@ func BenchmarkSimEvents(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkPlan measures one full inverse solve: each iteration bisects the
+// BenchmarkPlan measures one full inverse solve: each iteration searches the
 // maximum sustainable BG probability under a foreground queue-length SLO on
 // the software-development workload at utilization 0.3 (the ExamplePlan
-// configuration), including the sensitivity-neighborhood fan-out — about
-// twenty forward QBD solves per iteration.
+// configuration) with ITP steps, including the sensitivity-neighborhood
+// fan-out — about a dozen forward QBD solves per iteration.
 func BenchmarkPlan(b *testing.B) {
 	sd, err := bgperf.SoftwareDevelopmentWorkload()
 	if err != nil {

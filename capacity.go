@@ -46,9 +46,10 @@ func ParsePlanVar(s string) (PlanVar, error) { return plan.ParseVar(s) }
 
 // Plan inverts the analytic model: it finds the frontier value of the
 // decision variable selected by WithPlanVar (default PlanBGProb) for which
-// cfg still meets slo, by bisection over the monotone foreground metrics —
-// the maximum feasible value for PlanBGProb, PlanBGBuffer, and PlanIdleRate,
-// the minimum feasible φ for PlanModFactor (deeper modulation hurts FG).
+// cfg still meets slo, by a bracketing search over the monotone foreground
+// metrics (ITP steps for p, α, and φ, bisection for X) — the maximum
+// feasible value for PlanBGProb, PlanBGBuffer, and PlanIdleRate, the
+// minimum feasible φ for PlanModFactor (deeper modulation hurts FG).
 // The returned frontier is always an actually-solved feasible point, with
 // the metrics there and a small sensitivity neighborhood. When even the
 // most conservative setting of the variable violates slo — or the

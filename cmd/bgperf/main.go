@@ -257,7 +257,7 @@ func cmdPlan(args []string, out io.Writer) error {
 		sloResp   = fs.Float64("slo-resp", 0, "SLO: mean foreground response time bound in ms (0 = unset)")
 		varName   = fs.String("var", "p", "decision variable: p (BG spawn probability), x (BG buffer), alpha (idle rate), or mod (minimum feasible modulation factor φ)")
 		tol       = fs.Float64("tol", 0, "convergence tolerance of the continuous searches (0 = planner default)")
-		maxIter   = fs.Int("maxiter", 0, "bisection iteration bound (0 = planner default)")
+		maxIter   = fs.Int("maxiter", 0, "search iteration bound (0 = planner default; no search needs more than bisection's count)")
 		tracePath = fs.String("trace", "", "fit the arrival process from this NDJSON trace instead of -workload")
 		workers   = fs.Int("workers", 0, "max goroutines for the sensitivity neighborhood (0 = all cores); results are identical for every setting")
 		asJSON    = fs.Bool("json", false, "emit the plan report as JSON (byte-identical to the daemon's /v1/optimize plan object)")

@@ -12,11 +12,13 @@ import (
 
 // planSlack bounds how far below a known-feasible value the planner's
 // frontier may land: the continuous searches converge to DefaultTol (p:
-// absolute, α: relative), so twice that covers the final bracket.
+// absolute, α: relative), so twice that covers the final bracket, also one
+// that the search's last step leaves a few ulps wider than DefaultTol.
 const planSlack = 2 * plan.DefaultTol
 
-// planCases caps the plan-inversion sample: each case costs a full bisection
-// (~20 forward solves), so the oracle samples rather than mirrors -n.
+// planCases caps the plan-inversion sample: each case costs a full search
+// (up to about 22 forward solves) plus its re-solves, so the oracle samples
+// rather than mirrors -n.
 const planCases = 16
 
 // PlanInversion cross-checks the inverse solver (internal/plan) against the
@@ -32,6 +34,8 @@ const planCases = 16
 //     metrics to solver precision and satisfies the SLO;
 //   - the bracket, when present, genuinely violates the SLO on re-solve,
 //     and an at-cap result carries no bracket;
+//   - the search took no more iterations than bisection would
+//     (plan.BisectionSteps: the slot count for X);
 //   - an SLO below the variable's reachable minimum (half the queue length
 //     with background disabled) returns ErrInfeasible — never a silently
 //     clamped frontier.
@@ -113,6 +117,12 @@ func PlanInversion(ctx context.Context, n int, seed int64) ([]Violation, int, er
 					v, res.Value, genVal),
 				res.Value >= feasibleFloor(v, genVal))
 		}
+
+		invariants++
+		steps := plan.BisectionSteps(v, 0)
+		vs.assert("plan-iterations-bounded",
+			fmt.Sprintf("search took %d iterations, bisection takes %d", res.Iterations, steps),
+			res.Iterations <= steps)
 
 		// Independent re-solve at the frontier: the deterministic forward
 		// solver must reproduce the reported metrics and satisfy the SLO.

@@ -22,7 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/maximize.golden 
 //
 // Regenerate after an intentional change with:
 //
-//	go test -run TestMaximizeGolden -update ./internal/plan
+//	go test ./internal/plan -run TestMaximizeGolden -update
 const (
 	maximizeGoldenPath = "testdata/maximize.golden"
 	maximizeGoldenTol  = 1e-9
@@ -33,6 +33,9 @@ type goldenCase struct {
 	Case  string  `json:"case"`
 	Plan  *Result `json:"plan,omitempty"`
 	Error string  `json:"error,omitempty"`
+	// cfg and v are the searched config and variable, for re-solving.
+	cfg core.Config
+	v   Var
 }
 
 // maximizeCases runs every pinned search.
@@ -41,7 +44,7 @@ func maximizeCases(t *testing.T) []goldenCase {
 	vars := []Var{VarBGProb, VarBGBuffer, VarIdleRate, VarModFactor}
 	var out []goldenCase
 	run := func(name string, cfg core.Config, slo SLO, v Var) {
-		c := goldenCase{Case: name}
+		c := goldenCase{Case: name, cfg: cfg, v: v}
 		res, err := Maximize(cfg, slo, Options{Var: v, Workers: 1})
 		if err != nil {
 			c.Error = err.Error()
@@ -96,6 +99,21 @@ func maximizeCases(t *testing.T) []goldenCase {
 
 func TestMaximizeGolden(t *testing.T) {
 	got := maximizeCases(t)
+	// Every interior frontier must re-solve feasible at Value and
+	// infeasible at Bracket, including the "email@0.4 qlen=1*base" cases,
+	// where QLenFG's rounding noise exceeds its change per step.
+	for _, c := range got {
+		if c.Plan == nil || c.Plan.AtCap {
+			continue
+		}
+		opts := Options{Var: c.v}
+		if _, ok, err := evalAt(c.cfg, c.Plan.SLO, opts, c.Plan.Value); err != nil || !ok {
+			t.Errorf("%s: SLO must hold at Value %v (err %v)", c.Case, c.Plan.Value, err)
+		}
+		if _, ok, err := evalAt(c.cfg, c.Plan.SLO, opts, c.Plan.Bracket); err != nil || ok {
+			t.Errorf("%s: SLO must fail at Bracket %v (err %v)", c.Case, c.Plan.Bracket, err)
+		}
+	}
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -109,7 +127,7 @@ func TestMaximizeGolden(t *testing.T) {
 	}
 	raw, err := os.ReadFile(maximizeGoldenPath)
 	if err != nil {
-		t.Fatalf("missing golden file (run `go test -run TestMaximizeGolden -update ./internal/plan`): %v", err)
+		t.Fatalf("missing golden file (run `go test ./internal/plan -run TestMaximizeGolden -update`): %v", err)
 	}
 	var want []any
 	if err := json.Unmarshal(raw, &want); err != nil {

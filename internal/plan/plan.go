@@ -8,17 +8,23 @@
 // (internal/check: QLenFG non-decreasing in p and X, FG interference
 // non-decreasing in the idle rate α, and non-increasing in the modulation
 // factor φ): the feasible set of each decision variable is an interval
-// anchored at its least-aggressive ("safe") endpoint, so one bisection over
-// the fast analytic engine finds the frontier in a few dozen solves. The
-// bisection keeps the safe side of its bracket feasible and the bold side
+// anchored at its least-aggressive ("safe") endpoint, so one search loop
+// over the fast analytic engine finds the frontier in a dozen or so solves.
+// The loop keeps the safe side of its bracket feasible and the bold side
 // infeasible. p, X, and α move upward from their safe endpoint; φ moves
 // downward from 1 toward ModFactorFloor, since its aggressive direction is
-// toward deeper degradation. The variables differ only in the midpoint
-// (whole slots for X, geometric for α) and the stop rule (one slot for X,
-// relative for α, absolute for p and φ). Every reported frontier is an
-// actually-solved feasible point — the search never extrapolates — and the
-// infeasible side of the final bracket is reported, so a forward solve can
-// independently confirm both sides of the frontier.
+// toward deeper degradation. X still bisects on whole slots. p, φ, and α
+// (on ln α, since its domain spans six orders of magnitude) take an ITP
+// step: it interpolates the SLO slack, which is smooth and monotone in
+// them, then truncates and projects the step so that no search takes more
+// iterations than bisection. The interpolant is inverse quadratic, not
+// regula falsi, because the slack is strongly concave: QLenFG(p) on
+// softdev at 30% load rises 79% of its whole range by p = 0.1, where the
+// roots lie, and regula falsi saves no solves there. The stop rule is one
+// slot for X, relative for α, and absolute for p and φ. Every reported
+// frontier is an actually-solved feasible point — the search never
+// extrapolates — and the infeasible side of the final bracket is reported,
+// so a forward solve can independently confirm both sides of the frontier.
 //
 // An SLO that fails even at the safe endpoint (p = 0, X = 0, a vanishing α,
 // or φ = 1) is reported with ErrInfeasible, never silently clamped. A
@@ -53,7 +59,8 @@ const (
 	// DefaultTol is the default relative convergence tolerance of the
 	// continuous searches (absolute on p ∈ [0,1], multiplicative on α).
 	DefaultTol = 1e-4
-	// DefaultMaxIter is the default bisection iteration budget.
+	// DefaultMaxIter is the default iteration budget of the search. No
+	// search needs more than BisectionSteps, 18 at most at DefaultTol.
 	DefaultMaxIter = 64
 	// MaxBuffer caps the integer buffer search: X* = MaxBuffer with AtCap
 	// set means the SLO tolerates any buffer the model will realistically
@@ -205,6 +212,18 @@ func (s SLO) violation(m core.Metrics) string {
 	}
 }
 
+// slack is the largest relative excess max(mᵢ/bᵢ − 1) over the set bounds:
+// at most 0 where the SLO holds, positive past its tightest bound.
+func (s SLO) slack(m core.Metrics) float64 {
+	g := math.Inf(-1)
+	for _, mb := range [...][2]float64{{m.QLenFG, s.QLenFG}, {m.WaitPFG, s.WaitPFG}, {m.RespTimeFG, s.RespTimeFG}} {
+		if mb[1] > 0 {
+			g = max(g, mb[0]/mb[1]-1)
+		}
+	}
+	return g
+}
+
 // Options parameterizes one inverse search. The zero value searches p with
 // the default tolerance and iteration budget, serially and unobserved.
 type Options struct {
@@ -214,7 +233,9 @@ type Options struct {
 	// DefaultTol. The p search stops when the feasible/infeasible bracket is
 	// narrower than Tol; the α search when the bracket ratio is below 1+Tol.
 	Tol float64
-	// MaxIter bounds the bisection iterations; 0 means DefaultMaxIter.
+	// MaxIter bounds the search iterations; 0 means DefaultMaxIter. A
+	// search never takes more than BisectionSteps, so only a smaller budget
+	// stops it early.
 	MaxIter int
 	// Workers bounds the goroutines of the sensitivity-neighborhood
 	// fan-out; <= 0 means all cores. Every solve runs serially.
@@ -270,12 +291,14 @@ type Result struct {
 	// downward-searching "mod" variable — ModFactorFloor), so Value is that
 	// cap rather than a constraint frontier and Bracket is 0.
 	AtCap bool `json:"atCap"`
-	// Bracket is the infeasible side of the final bisection bracket (0 when
+	// Bracket is the infeasible side of the final search bracket (0 when
 	// AtCap): the smallest evaluated value at which the SLO failed, or for
 	// the "mod" variable the largest evaluated infeasible φ below Value. A
 	// forward solve at Bracket independently confirms the frontier.
 	Bracket float64 `json:"bracket"`
-	// Iterations counts bisection steps.
+	// Iterations counts search steps, one forward solve each: ITP steps
+	// for p, φ, and α, bisection steps for X. It never exceeds
+	// BisectionSteps.
 	Iterations int `json:"iterations"`
 	// Solves counts every forward solve the search performed, endpoints
 	// and neighborhood included.
@@ -357,8 +380,9 @@ type searcher struct {
 }
 
 // Maximize finds the most aggressive value of the decision variable
-// opts.Var at which cfg still meets slo, by bisection over forward analytic
-// solves (downward for mod, whose aggressive direction is toward smaller φ).
+// opts.Var at which cfg still meets slo, by a bracketing search over forward
+// analytic solves (downward for mod, whose aggressive direction is toward
+// smaller φ).
 // It returns ErrInfeasible (wrapped, with the violated bound named) when even
 // the least-aggressive endpoint fails, and a *core.ValidationError for invalid
 // SLOs, configs, or variable/config combinations. The result's Value is always
@@ -471,46 +495,76 @@ func evalAt(cfg core.Config, slo SLO, opts Options, val float64) (core.Metrics, 
 	return sol.Metrics, slo.Holds(sol.Metrics), nil
 }
 
-// search bisects the decision variable between its endpoints, keeping one
-// invariant: the safe side of the bracket is feasible and the bold side is
-// infeasible. It evaluates safe (ErrInfeasible if the SLO fails there), then
-// bold (AtCap if the SLO holds there), then halves the bracket until it
-// converges, the iteration budget runs out, or the midpoint no longer
-// separates the two sides at float resolution.
+// point is one evaluated end of the search bracket: the decision-variable
+// value, its search coordinate u, and the SLO slack g there.
+type point struct {
+	v, u, g float64
+}
+
+// at builds the point for value v whose forward solve gave m and the
+// feasibility verdict ok. A slack whose sign contradicts the verdict carries
+// no information and is NaN: a saturating φ candidate's zero metrics, or a
+// violating metric whose ratio to its bound rounds to exactly 1.
+func (s *searcher) at(v float64, m core.Metrics, ok bool) point {
+	g := s.slo.slack(m)
+	if !ok && !(g > 0) {
+		g = math.NaN()
+	}
+	return point{v: v, u: s.coord(v), g: g}
+}
+
+// search narrows the decision variable's bracket between its endpoints,
+// keeping one invariant: the safe side of the bracket is feasible and the
+// bold side is infeasible. It evaluates safe (ErrInfeasible if the SLO fails
+// there), then bold (AtCap if the SLO holds there), then steps inside the
+// bracket until it converges, the iteration budget or the bisection count
+// n½ runs out, or no candidate separates the two sides at float resolution.
+// Capping the loop at n½ steps keeps a bracket that the step's projection
+// left a few ulps above the tolerance from costing one more solve.
 func (s *searcher) search() (*Result, error) {
-	safe, bold := s.domain()
-	mSafe, ok, err := s.eval(safe)
+	safeV, boldV := s.domain()
+	mSafe, ok, err := s.eval(safeV)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("%w: %s even %s", ErrInfeasible, s.slo.violation(mSafe), s.safeText(safe))
+		return nil, fmt.Errorf("%w: %s even %s", ErrInfeasible, s.slo.violation(mSafe), s.safeText(safeV))
 	}
-	mBold, ok, err := s.eval(bold)
+	mBold, ok, err := s.eval(boldV)
 	if err != nil {
 		return nil, err
 	}
 	if ok {
-		return &Result{Value: bold, AtCap: true, Metrics: mBold}, nil
+		return &Result{Value: boldV, AtCap: true, Metrics: mBold}, nil
 	}
+	safe, bold := s.at(safeV, mSafe, true), s.at(boldV, mBold, false)
+	prev := point{g: math.NaN()} // the last discarded endpoint, none yet
+	steps := BisectionSteps(s.opts.Var, s.opts.Tol)
 	iters := 0
-	for iters < s.opts.MaxIter && !s.converged(safe, bold) {
-		mid := s.midpoint(safe, bold)
-		if !(mid > min(safe, bold) && mid < max(safe, bold)) {
-			break // bracket exhausted at float resolution
+	for iters < min(s.opts.MaxIter, steps) && !s.converged(safe.v, bold.v) {
+		next := s.next(safe, bold, prev, steps-iters)
+		if !inside(next, safe.v, bold.v) {
+			if next = s.midpoint(safe.v, bold.v); !inside(next, safe.v, bold.v) {
+				break // bracket exhausted at float resolution
+			}
 		}
-		m, ok, err := s.eval(mid)
+		m, ok, err := s.eval(next)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			safe, mSafe = mid, m
+			prev, safe, mSafe = safe, s.at(next, m, true), m
 		} else {
-			bold = mid
+			prev, bold = bold, s.at(next, m, false)
 		}
 		iters++
 	}
-	return &Result{Value: safe, Bracket: bold, Iterations: iters, Metrics: mSafe}, nil
+	return &Result{Value: safe.v, Bracket: bold.v, Iterations: iters, Metrics: mSafe}, nil
+}
+
+// inside reports whether x lies strictly between the bracket ends a and b.
+func inside(x, a, b float64) bool {
+	return x > min(a, b) && x < max(a, b)
 }
 
 // safeText names the safe endpoint in the ErrInfeasible message.
@@ -538,9 +592,72 @@ func (s *searcher) converged(safe, bold float64) bool {
 	}
 }
 
+// coord maps a value onto the search coordinate u: ln α for the idle rate,
+// whose domain spans about six orders of magnitude, and the value itself
+// for p, X, and φ. value is its inverse.
+func (s *searcher) coord(v float64) float64 {
+	if s.opts.Var == VarIdleRate {
+		return math.Log(v)
+	}
+	return v
+}
+
+func (s *searcher) value(u float64) float64 {
+	if s.opts.Var == VarIdleRate {
+		return math.Exp(u)
+	}
+	return u
+}
+
+// span is the width of v's whole search domain in the search coordinate.
+func span(v Var) float64 {
+	switch v {
+	case VarBGBuffer:
+		return MaxBuffer
+	case VarIdleRate:
+		return math.Log(alphaHiFrac / alphaLoFrac)
+	case VarModFactor:
+		return 1 - ModFactorFloor
+	default:
+		return 1
+	}
+}
+
+// tolU is the stop rule's bracket width in the search coordinate: one slot
+// for X, ln(1+tol) for α, and tol for p and φ.
+func tolU(v Var, tol float64) float64 {
+	switch v {
+	case VarBGBuffer:
+		return 1
+	case VarIdleRate:
+		return math.Log1p(tol)
+	default:
+		return tol
+	}
+}
+
+// BisectionSteps returns n½ = ⌈log₂(w₀/tol)⌉, the iterations bisection
+// needs to narrow v's whole domain (width w₀ in the search coordinate) to
+// the stop rule's width at tolerance tol, 0 meaning DefaultTol: 14 for p
+// and φ and 18 for α at DefaultTol, and 6 for X, whose tolerance is one
+// slot. No search of v takes more iterations.
+func BisectionSteps(v Var, tol float64) int {
+	if tol == 0 {
+		tol = DefaultTol
+	}
+	n := math.Ceil(math.Log2(span(v) / tolU(v, tol)))
+	switch {
+	case n <= 0:
+		return 0
+	case n < math.MaxInt32:
+		return int(n)
+	default:
+		return math.MaxInt32 // tol is not positive and finite: only MaxIter stops
+	}
+}
+
 // midpoint bisects the bracket: on whole buffer slots for X, geometrically
-// for α (its domain spans about six orders of magnitude), and arithmetically
-// for p and φ.
+// for α, and arithmetically for p and φ.
 func (s *searcher) midpoint(safe, bold float64) float64 {
 	switch s.opts.Var {
 	case VarBGBuffer:
@@ -551,6 +668,58 @@ func (s *searcher) midpoint(safe, bold float64) float64 {
 		return (safe + bold) / 2
 	}
 }
+
+// next picks the next candidate inside the bracket, with left of
+// bisection's n½ steps remaining. X bisects on whole slots. p, φ, and α
+// take an ITP step (Oliveira & Takahashi, "An Enhancement of the Bisection
+// Method Average Performance Preserving Minmax Optimality", ACM TOMS 2020)
+// on the search coordinate: the slack's root is interpolated, the estimate
+// is truncated toward the midpoint by δ = w²/w₀ (κ₁ = 1/w₀, κ₂ = 2), and
+// projected back within r = tol·2^(left−1) − w/2 of the midpoint, so that
+// (n₀ = 0) the step leaves a bracket no wider than bisection's would be. A
+// step with a non-finite slack at either end takes the plain midpoint.
+func (s *searcher) next(safe, bold, prev point, left int) float64 {
+	if s.opts.Var == VarBGBuffer || !isFinite(safe.g) || !isFinite(bold.g) {
+		return s.midpoint(safe.v, bold.v)
+	}
+	w0, w := span(s.opts.Var), math.Abs(bold.u-safe.u)
+	mid := (safe.u + bold.u) / 2
+	xf := interpolate(safe, bold, prev)
+	sigma := 1.0
+	if xf > mid {
+		sigma = -1
+	}
+	xt := mid
+	if delta := w * w / w0; delta <= math.Abs(mid-xf) {
+		xt = xf + sigma*delta
+	}
+	r := max(math.Ldexp(tolU(s.opts.Var, s.opts.Tol), left-1)-w/2, 0)
+	if math.Abs(xt-mid) > r {
+		xt = mid - sigma*r
+	}
+	return s.value(xt)
+}
+
+// interpolate estimates the slack's root in the search coordinate: inverse
+// quadratic interpolation through the two bracket ends and the last
+// discarded endpoint, or regula falsi through the ends when that point is
+// missing, its slack not finite, or the quadratic's root not strictly
+// inside the bracket. On the strongly concave slack the package comment
+// describes, regula falsi alone keeps moving one end by little; the
+// quadratic follows the curvature.
+func interpolate(a, b, c point) float64 {
+	if isFinite(c.g) && c.g != a.g && c.g != b.g {
+		x := a.u*b.g*c.g/((a.g-b.g)*(a.g-c.g)) +
+			b.u*a.g*c.g/((b.g-a.g)*(b.g-c.g)) +
+			c.u*a.g*b.g/((c.g-a.g)*(c.g-b.g))
+		if inside(x, a.u, b.u) {
+			return x
+		}
+	}
+	return (a.u*b.g - b.u*a.g) / (b.g - a.g)
+}
+
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // neighborhood solves the sensitivity points around the frontier (fanned
 // over the worker pool) and attaches them, frontier included, in ascending

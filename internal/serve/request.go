@@ -81,8 +81,8 @@ type OptimizeRequest struct {
 	// Tolerance is the convergence tolerance of the continuous searches;
 	// 0 means the planner default (1e-4).
 	Tolerance float64 `json:"tolerance,omitempty"`
-	// MaxIter bounds the bisection iterations; 0 means the planner
-	// default (64).
+	// MaxIter bounds the search iterations; 0 means the planner default
+	// (64). No search needs more than bisection's count (at most 18).
 	MaxIter int `json:"maxIter,omitempty"`
 }
 

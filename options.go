@@ -127,9 +127,9 @@ func WithTolerance(tol float64) Option {
 	}
 }
 
-// WithMaxIter bounds the bisection iterations of the inverse searches
-// (default 64). n < 1 yields a ValidationError from the call. Forward entry
-// points accept and ignore it.
+// WithMaxIter bounds the iterations of the inverse searches (default 64;
+// no search needs more than bisection's count, at most 18). n < 1 yields a
+// ValidationError from the call. Forward entry points accept and ignore it.
 func WithMaxIter(n int) Option {
 	return func(c *callOpts) {
 		if n < 1 {

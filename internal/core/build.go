@@ -298,6 +298,21 @@ func (m *Model) levelMatrices(y int) (down, local, up *mat.Matrix) {
 	if y > 0 {
 		down = mat.New(n, n)
 	}
+	m.addTransitions(y, down, local, up)
+	return down, local, up
+}
+
+// downMatrix assembles only the Down block of level y ≥ 1.
+func (m *Model) downMatrix(y int) *mat.Matrix {
+	n := m.levelStates()
+	down := mat.New(n, n)
+	m.addTransitions(y, down, nil, nil)
+	return down
+}
+
+// addTransitions adds the transitions emitted from level y into the block
+// of their level change; a nil block skips its transitions.
+func (m *Model) addTransitions(y int, down, local, up *mat.Matrix) {
 	a := m.Phases()
 	for _, tr := range m.transitionsFrom(y) {
 		var dst *mat.Matrix
@@ -309,9 +324,10 @@ func (m *Model) levelMatrices(y int) (down, local, up *mat.Matrix) {
 		case +1:
 			dst = up
 		}
-		dst.AddBlockAt(tr.fromIdx*a, tr.toIdx*a, tr.rate)
+		if dst != nil {
+			dst.AddBlockAt(tr.fromIdx*a, tr.toIdx*a, tr.rate)
+		}
 	}
-	return down, local, up
 }
 
 // fixDiagonal sets local's diagonal so every global row sums to zero.
@@ -352,8 +368,7 @@ func (m *Model) qbdBlocks() (qbd.Boundary, *qbd.Process, error) {
 	}
 	// FG completions from the first repeating level can enter level 0's
 	// idle-wait and empty states, so its down block is built explicitly.
-	repDown, _, _ := m.levelMatrices(top + 1)
-	boundary.RepDown = repDown
+	boundary.RepDown = m.downMatrix(top + 1)
 
 	// The repeating blocks are built at a level two past the boundary,
 	// whose neighbours both have the repeating layout.
@@ -366,15 +381,9 @@ func (m *Model) qbdBlocks() (qbd.Boundary, *qbd.Process, error) {
 	return boundary, proc, nil
 }
 
-// ChainBlocks returns the repeating blocks (A0 up, A1 local, A2 down) of the
-// chain m solves, so solver tests can hand them to their oracles.
-func (m *Model) ChainBlocks() (a0, a1, a2 *mat.Matrix, err error) {
-	_, proc, err := m.qbdBlocks()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return proc.A0(), proc.A1(), proc.A2(), nil
-}
+// ChainQBD returns the boundary and the repeating process of the chain m
+// solves, so solver tests can hand them to their oracles.
+func (m *Model) ChainQBD() (qbd.Boundary, *qbd.Process, error) { return m.qbdBlocks() }
 
 // Generator builds the truncated global generator covering levels
 // 0..maxLevel (FG counts up to maxLevel), with down-only truncation at the

@@ -33,10 +33,11 @@ func TestROracleOnGeneratedConfigs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Solve: %v", err)
 			}
-			a0, a1, a2, err := m.ChainBlocks()
+			_, proc, err := m.ChainQBD()
 			if err != nil {
-				t.Fatalf("ChainBlocks: %v", err)
+				t.Fatalf("ChainQBD: %v", err)
 			}
+			a0, a1, a2 := proc.A0(), proc.A1(), proc.A2()
 			r := sol.QBD().R
 			oracle, err := qbdtest.LogReductionR(a0, a1, a2)
 			if err != nil {

@@ -23,50 +23,46 @@ func StationaryCTMCGTH(q *mat.Matrix) ([]float64, error) {
 	if n == 1 {
 		return []float64{1}, nil
 	}
-	// Work on the off-diagonal rates only; diagonals are implied.
+	// Work on the off-diagonal rates only; diagonals are implied and never
+	// read. The sweeps run on row slices.
 	a := mat.New(n, n)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				v := q.At(i, j)
-				if v < 0 {
-					v = 0 // tolerance-level noise from CheckGenerator
-				}
-				a.Set(i, j, v)
+		src, dst := q.RowView(i), a.RowView(i)
+		for j, v := range src {
+			if v < 0 {
+				v = 0 // tolerance-level noise from CheckGenerator
 			}
+			dst[j] = v
 		}
+		dst[i] = 0
 	}
 	// Censoring sweep: eliminate states n−1, …, 1. After eliminating state
 	// k, a[i][j] (i,j < k) describes the chain watched only on {0..k−1}.
 	for k := n - 1; k >= 1; k-- {
-		var out float64 // total rate out of state k toward {0..k−1}
-		for j := 0; j < k; j++ {
-			out += a.At(k, j)
-		}
+		rk := a.RowView(k)[:k]
+		out := mat.Sum(rk) // total rate out of state k toward {0..k−1}
 		if out <= 0 {
 			return nil, fmt.Errorf("%w: state %d cannot reach lower-indexed states", ErrReducible, k)
 		}
 		for i := 0; i < k; i++ {
-			aik := a.At(i, k)
+			ri := a.RowView(i)
+			aik := ri[k]
 			if aik == 0 {
 				continue
 			}
 			scale := aik / out
-			for j := 0; j < k; j++ {
-				if j != i {
-					a.Add(i, j, scale*a.At(k, j))
-				}
+			ri = ri[:k]
+			for j, v := range rk {
+				ri[j] += scale * v
 			}
+			ri[i] = 0 // the update also touched the diagonal
 		}
 	}
 	// Back substitution: unnormalized π with π[0] = 1.
 	pi := make([]float64, n)
 	pi[0] = 1
 	for k := 1; k < n; k++ {
-		var out float64
-		for j := 0; j < k; j++ {
-			out += a.At(k, j)
-		}
+		out := mat.Sum(a.RowView(k)[:k])
 		var in float64
 		for i := 0; i < k; i++ {
 			in += pi[i] * a.At(i, k)

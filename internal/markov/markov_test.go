@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"bgperf/internal/mat"
+	"bgperf/internal/qbd/qbdtest"
 )
 
 func twoStateGen(a, b float64) *mat.Matrix {
@@ -275,5 +276,58 @@ func TestGTHSingleState(t *testing.T) {
 	pi, err := StationaryCTMCGTH(mat.New(1, 1))
 	if err != nil || len(pi) != 1 || pi[0] != 1 {
 		t.Errorf("single state: %v, %v", pi, err)
+	}
+}
+
+// stiffGenerator builds a sparse irreducible generator whose rates span 12
+// orders of magnitude (log-uniform in [1e-8, 1e4]), as the level-0
+// generators of the paper's chains do. Every state reaches its neighbours
+// on a ring, about a third of the other pairs carry a rate, and a few
+// entries hold the tolerance-level negative noise a fold leaves behind.
+func stiffGenerator(rng *rand.Rand, n int) *mat.Matrix {
+	q := mat.New(n, n)
+	rate := func() float64 { return math.Pow(10, -8+12*rng.Float64()) }
+	for i := 0; i < n; i++ {
+		row := q.RowView(i)
+		row[(i+1)%n] = rate()
+		row[(i+n-1)%n] = rate()
+		for j := range row {
+			if j != i && row[j] == 0 {
+				switch u := rng.Float64(); {
+				case u < 0.3:
+					row[j] = rate()
+				case u < 0.32:
+					row[j] = -1e-13
+				}
+			}
+		}
+		row[i] = 0
+		row[i] = -mat.Sum(row)
+	}
+	return q
+}
+
+// TestGTHRowSlicesBitIdentical pins the row-slice GTH kernel to the
+// element-wise reference qbdtest.GTH, bit for bit, on random stiff
+// generators of orders 2 to 80. The level-0 generators of the large-state
+// chains are checked the same way in package qbd.
+func TestGTHRowSlicesBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for c := 0; c < 200; c++ {
+		n := 2 + rng.Intn(79)
+		q := stiffGenerator(rng, n)
+		got, err := StationaryCTMCGTH(q)
+		if err != nil {
+			t.Fatalf("case %d (n=%d): %v", c, n, err)
+		}
+		want, err := qbdtest.GTH(q)
+		if err != nil {
+			t.Fatalf("case %d (n=%d): reference: %v", c, n, err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("case %d (n=%d): π[%d] = %v, reference %v", c, n, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -20,9 +21,13 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/maximize.golden 
 // foreground load. Each case records either the full Result or the exact
 // error text. Numbers must match to 1e-9 relative; everything else exactly.
 //
-// Regenerate after an intentional change with:
+// Re-pin after an intentional change with:
 //
 //	go test ./internal/plan -run TestMaximizeGolden -update
+//
+// which rewrites only the cases that deviate; every other case keeps its
+// pinned JSON byte for byte, so the diff shows just the cases that moved. A
+// missing file, or one with a different case count, is written whole.
 const (
 	maximizeGoldenPath = "testdata/maximize.golden"
 	maximizeGoldenTol  = 1e-9
@@ -114,41 +119,74 @@ func TestMaximizeGolden(t *testing.T) {
 			t.Errorf("%s: SLO must fail at Bracket %v (err %v)", c.Case, c.Plan.Bracket, err)
 		}
 	}
-	if *updateGolden {
-		b, err := json.MarshalIndent(got, "", "  ")
+	// Each case as the file pins it, indented as an element of the array.
+	fresh := make([]json.RawMessage, len(got))
+	for i, c := range got {
+		b, err := json.MarshalIndent(c, "  ", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(maximizeGoldenPath, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s", maximizeGoldenPath)
-		return
+		fresh[i] = b
 	}
 	raw, err := os.ReadFile(maximizeGoldenPath)
+	var pinned []json.RawMessage
+	if err == nil {
+		err = json.Unmarshal(raw, &pinned)
+	}
+	if *updateGolden && (err != nil || len(pinned) != len(fresh)) {
+		writeGolden(t, fresh)
+		return
+	}
 	if err != nil {
-		t.Fatalf("missing golden file (run `go test ./internal/plan -run TestMaximizeGolden -update`): %v", err)
+		t.Fatalf("missing or corrupt golden file (run `go test ./internal/plan -run TestMaximizeGolden -update`): %v", err)
 	}
-	var want []any
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("corrupt golden file %s: %v", maximizeGoldenPath, err)
+	if len(fresh) != len(pinned) {
+		t.Fatalf("%d cases, golden has %d", len(fresh), len(pinned))
 	}
-	b, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotV []any
-	if err := json.Unmarshal(b, &gotV); err != nil {
-		t.Fatal(err)
-	}
-	if len(gotV) != len(want) {
-		t.Fatalf("%d cases, golden has %d", len(gotV), len(want))
-	}
-	for i := range want {
-		if d := goldenDiff("", want[i], gotV[i]); d != "" {
+	moved := 0
+	for i := range pinned {
+		var want, gotV any
+		if err := json.Unmarshal(pinned[i], &want); err != nil {
+			t.Fatalf("corrupt golden case %d: %v", i, err)
+		}
+		if err := json.Unmarshal(fresh[i], &gotV); err != nil {
+			t.Fatal(err)
+		}
+		d := goldenDiff("", want, gotV)
+		if d == "" {
+			continue
+		}
+		if *updateGolden {
+			t.Logf("re-pinned case %d (%s): %s", i, got[i].Case, d)
+			pinned[i] = fresh[i]
+			moved++
+		} else {
 			t.Errorf("case %d (%s) deviates from %s: %s", i, got[i].Case, maximizeGoldenPath, d)
 		}
 	}
+	if moved > 0 {
+		writeGolden(t, pinned)
+	}
+}
+
+// writeGolden writes the cases, each already indented as an array element,
+// as the golden file's JSON array.
+func writeGolden(t *testing.T, cases []json.RawMessage) {
+	t.Helper()
+	var b bytes.Buffer
+	b.WriteString("[")
+	for i, c := range cases {
+		if i > 0 {
+			b.WriteString(",")
+		}
+		b.WriteString("\n  ")
+		b.Write(c)
+	}
+	b.WriteString("\n]\n")
+	if err := os.WriteFile(maximizeGoldenPath, b.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rewrote %s", maximizeGoldenPath)
 }
 
 // goldenDiff structurally compares two unmarshalled JSON values, numbers to

@@ -22,8 +22,9 @@ type blockCase struct {
 
 // blockCases gathers the chains users solve: a subset of the paper's grid,
 // the 32 large-state shapes of the daemon's sweep benchmark (deadline and
-// util-threshold admission included), the configurations `bgperf check -n
-// 64 -seed 1` generates, and those of core's testdata/twoclass.golden.
+// util-threshold admission included), util-threshold admission at K = 0 and
+// K = 3, the configurations `bgperf check -n 64 -seed 1` generates, and
+// those of core's testdata/twoclass.golden.
 func blockCases(t *testing.T) []blockCase {
 	t.Helper()
 	var reqs []blockCase
@@ -68,6 +69,8 @@ func blockCases(t *testing.T) []blockCase {
 			BGAdmit: "util-threshold", FGThreshold: 3,
 		})
 	}
+	add("util-threshold/K=0", serve.SolveRequest{Workload: "softdev", Utilization: 0.3, BGProb: 0.6, BGAdmit: "util-threshold"})
+	add("util-threshold/K=3", serve.SolveRequest{Workload: "email", Utilization: 0.3, BGProb: 0.6, BGAdmit: "util-threshold", FGThreshold: 3})
 	gen := check.NewGenerator(1)
 	for i := 0; i < 64; i++ {
 		c := gen.Next()
@@ -120,19 +123,22 @@ func twoClassGoldenCases(t *testing.T) []blockCase {
 // process builds the repeating level of c's chain.
 func (c blockCase) process(t *testing.T) *qbd.Process {
 	t.Helper()
+	_, p := c.chain(t)
+	return p
+}
+
+// chain builds the boundary and the repeating level of c's chain.
+func (c blockCase) chain(t *testing.T) (qbd.Boundary, *qbd.Process) {
+	t.Helper()
 	m, err := core.NewModel(c.cfg)
 	if err != nil {
 		t.Fatalf("NewModel: %v", err)
 	}
-	a0, a1, a2, err := m.ChainBlocks()
+	b, p, err := m.ChainQBD()
 	if err != nil {
-		t.Fatalf("ChainBlocks: %v", err)
+		t.Fatalf("ChainQBD: %v", err)
 	}
-	p, err := qbd.New(a0, a1, a2)
-	if err != nil {
-		t.Fatalf("qbd.New: %v", err)
-	}
-	return p
+	return b, p
 }
 
 // TestBlockGRMatchesWholeCyclicReduction pins the block solve to the

@@ -126,7 +126,7 @@ func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 	if o != nil {
 		t0 = time.Now()
 	}
-	r, spR, err := p.rWS(ws, o)
+	r, n, spR, err := p.rWS(ws, o)
 	if o != nil {
 		o.StageDone(obs.StageRSolve, time.Since(t0))
 		defer func() {
@@ -164,55 +164,47 @@ func SolveObserved(b Boundary, p *Process, o obs.Observer) (*Solution, error) {
 		repDown = p.a2
 	}
 
-	// Backward sweep: fold each level's equation into the one below.
-	// S_{B+1} = A1 + R·A2 (the censored top level); then
-	// S_j = Local_j + Up_j·(−S_{j+1})⁻¹·Down_{j+1}. Each folded level also
-	// yields the propagation matrix T_{j+1} = Up_j·(−S_{j+1})⁻¹ used by the
-	// forward sweep π_{j+1} = π_j·T_{j+1}. The fold ping-pongs workspace
-	// buffers: each level releases its fold before acquiring the next, so
-	// same-shaped levels reuse the same memory.
-	sTop := ws.MatrixUninit(m, m)
-	if _, sA2 := p.sparseBlocks(); sA2 != nil {
-		sA2.MulRightInto(sTop, r)
-	} else {
-		sTop.MulInto(r, p.a2)
-	}
-	sTop.AddInPlace(p.a1)
+	// Backward sweep: fold each level's equation into the one below. The
+	// censored top level is S_{B+1} = A1 + R·A2, which equals U = A1 + A0·G
+	// (R·A2 = A0·G), so (−S_{B+1})⁻¹ is the N that R's step kept; every
+	// lower level folds S_j = Local_j + Up_j·(−S_{j+1})⁻¹·Down_{j+1}. Each
+	// folded level also yields the propagation matrix T_{j+1} =
+	// Up_j·(−S_{j+1})⁻¹ used by the forward sweep π_{j+1} = π_j·T_{j+1}.
+	// The fold ping-pongs workspace buffers: each level releases its fold
+	// before acquiring the next, so same-shaped levels reuse the same
+	// memory.
 	prop := make([]*mat.Matrix, nb+1) // prop[j]: π_j = π_{j−1}·prop[j], j ≥ 1
-	s := sTop
+	negInv := n
+	var s *mat.Matrix
 	for j := nb; j >= 1; j-- {
-		n := s.Rows()
-		neg := ws.MatrixUninit(n, n).ScaleInto(s, -1)
-		lu := ws.LU(n)
-		if err := mat.FactorizeInto(lu, neg); err != nil {
-			return nil, fmt.Errorf("qbd: level reduction at %d: %w", j, err)
+		if j < nb {
+			if negInv, err = negInverse(s, ws); err != nil {
+				return nil, fmt.Errorf("qbd: level reduction at %d: %w", j, err)
+			}
+			ws.Release(s)
 		}
-		negInv := ws.MatrixUninit(n, n)
-		lu.InverseInto(negInv)
 		up := b.Up[j-1]
 		// Held until the forward sweep below has consumed it, then released.
 		// Up is structurally sparse (one arrival block per phase group), so
 		// the zero-skipping dense kernel makes this product cheap.
-		prop[j] = ws.MatrixUninit(up.Rows(), n)
+		prop[j] = ws.MatrixUninit(up.Rows(), negInv.Cols())
 		prop[j].MulInto(up, negInv)
+		ws.Release(negInv)
 		down := repDown
 		if j < nb {
 			down = b.Down[j]
 		}
 		local := b.Local[j-1]
-		sNext := ws.MatrixUninit(local.Rows(), local.Cols())
+		s = ws.MatrixUninit(local.Rows(), local.Cols())
 		// The fold T·Down is dense·sparse — Down carries one service block
 		// per phase group — so the CSR right-multiply kernel turns the n³
 		// product into O(n·nnz) when the block is big and sparse enough.
 		if sd := sparseDown(down); sd != nil {
-			sd.MulRightInto(sNext, prop[j])
+			sd.MulRightInto(s, prop[j])
 		} else {
-			sNext.MulInto(prop[j], down)
+			s.MulInto(prop[j], down)
 		}
-		sNext.AddInPlace(local)
-		ws.Release(neg, negInv, s)
-		ws.ReleaseLU(lu)
-		s = sNext
+		s.AddInPlace(local)
 	}
 
 	// π_0 spans the one-dimensional left null space of S_0, the generator

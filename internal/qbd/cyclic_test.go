@@ -185,7 +185,7 @@ func TestWorkersBitIdentical(t *testing.T) {
 					defer wg.Done()
 					ws := mat.AcquireWorkspace()
 					defer mat.ReleaseWorkspace(ws)
-					rs[w], _, errs[w] = shared.rWS(ws, nil)
+					rs[w], _, _, errs[w] = shared.rWS(ws, nil)
 				}(w)
 			}
 			wg.Wait()
@@ -206,19 +206,18 @@ func TestWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSparseBlocksGating checks the CSR snapshots appear exactly when both
-// gates pass: large order and low density.
+// TestSparseBlocksGating checks the CSR snapshot of A0 appears exactly when
+// both gates pass: large order and low density.
 func TestSparseBlocksGating(t *testing.T) {
 	small, _ := me2q(0.4, 1.0)
-	if sA0, sA2 := small.sparseBlocks(); sA0 != nil || sA2 != nil {
-		t.Fatal("order-2 process built sparse snapshots below sparseMinOrder")
+	if small.sparseA0() != nil {
+		t.Fatal("order-2 process built a sparse snapshot below sparseMinOrder")
 	}
-	big := bigProcess(t, 96)
-	sA0, sA2 := big.sparseBlocks()
-	if sA0 == nil || sA2 == nil {
-		t.Fatal("order-96 scaled-identity blocks should have sparse snapshots")
+	sA0 := bigProcess(t, 96).sparseA0()
+	if sA0 == nil {
+		t.Fatal("order-96 scaled-identity A0 should have a sparse snapshot")
 	}
-	if sA0.NNZ() != 96 || sA2.NNZ() != 96 {
-		t.Fatalf("snapshot NNZ = %d/%d, want 96/96", sA0.NNZ(), sA2.NNZ())
+	if sA0.NNZ() != 96 {
+		t.Fatalf("snapshot NNZ = %d, want 96", sA0.NNZ())
 	}
 }

@@ -20,7 +20,7 @@ func (p *Process) WholeGR() (g, r *mat.Matrix, err error) {
 	if g, _, err = cyclicReduction(b0, b1, b2); err != nil {
 		return nil, nil, err
 	}
-	r, err = p.rFromG(g.Clone(), nil)
+	r, _, err = p.rFromG(g.Clone(), nil)
 	return g, r, err
 }
 

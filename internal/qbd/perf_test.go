@@ -6,6 +6,7 @@ import (
 
 	"bgperf/internal/markov"
 	"bgperf/internal/mat"
+	"bgperf/internal/obs"
 )
 
 // TestNewValidationOrderStable checks that when several blocks are malformed,
@@ -57,5 +58,36 @@ func TestDriftCached(t *testing.T) {
 	}
 	if got := markov.StationaryCalls(); got != 1 {
 		t.Fatalf("Stable+Drift+R made %d StationaryCTMC calls in total, want 1", got)
+	}
+}
+
+// TestBoundaryFoldLUCount pins the factorizations of a solve through the
+// workspace statistics. On a process of one phase block (no Sylvester
+// systems) they are all of the repeating order: cyclic reduction, R's
+// N = (−(A1 + A0·G))⁻¹ and the tail's I−R take one each, the top boundary
+// level none, since its fold starts from N, and every lower boundary level
+// one.
+func TestBoundaryFoldLUCount(t *testing.T) {
+	me2, me2b := me2q(0.4, 1.0)
+	m1, m1b := mm1(1, 2.5)
+	m1b2 := Boundary{
+		Local: []*mat.Matrix{mat.MustFromRows([][]float64{{-1}}), mat.MustFromRows([][]float64{{-3.5}})},
+		Up:    []*mat.Matrix{mat.MustFromRows([][]float64{{1}}), mat.MustFromRows([][]float64{{1}})},
+		Down:  []*mat.Matrix{nil, mat.MustFromRows([][]float64{{2.5}})},
+	}
+	for _, c := range []struct {
+		name string
+		p    *Process
+		b    Boundary
+		want int64
+	}{{"M/E2/1", me2, me2b, 3}, {"M/M/1", m1, m1b, 3}, {"M/M/1 two levels", m1, m1b2, 4}} {
+		diag := obs.NewDiagnostics()
+		if _, err := SolveObserved(c.b, c.p, diag); err != nil {
+			t.Fatal(err)
+		}
+		ws := diag.Report().Workspace
+		if got := ws.LUHits + ws.LUMisses; got != c.want {
+			t.Errorf("%s: %d LU factorizations, want %d", c.name, got, c.want)
+		}
 	}
 }

@@ -53,19 +53,20 @@ type Process struct {
 	// The phase blocks G and R are solved by (see blocks.go): perm lists
 	// the phases block by block, block b spans perm[start[b]:start[b+1]],
 	// and identityPerm reports that perm is the original phase order.
-	// closed lists the closed classes of A0+A1+A2 for the drift fallback.
+	// closed lists the closed classes of A0+A1+A2, which carry the drift.
 	perm, start  []int
 	identityPerm bool
 	closed       [][]int
 
-	// Sparse snapshots of A0/A2, built lazily for large sparse blocks (the
-	// scaled-identity-like transition blocks of the paper's chains); nil when
+	// Sparse snapshot of A0, built lazily for a large sparse block (the
+	// scaled-identity-like arrival blocks of the paper's chains); nil when
 	// the dense kernels are the better choice.
 	sparseOnce sync.Once
-	sA0, sA2   *mat.Sparse
+	sA0        *mat.Sparse
 }
 
-// sparseMinOrder and sparseMaxDensity gate the CSR snapshots of A0/A2: below
+// sparseMinOrder and sparseMaxDensity gate the CSR snapshots of A0 and of
+// the boundary's down blocks: below
 // the order threshold the dense kernels win (and the snapshot allocations
 // would show up in the small-model solve alloc budget); above the density
 // threshold the sparse traversal saves nothing over the zero-skipping dense
@@ -75,12 +76,11 @@ const (
 	sparseMaxDensity = 0.25
 )
 
-// sparseBlocks returns the CSR snapshots of A0 and A2 when they are worth
-// using (large order, low density), building them at most once per process.
-// Either result may be nil independently. The sparse kernels are bit-identical
-// to the dense ones (pinned in internal/mat), so using a snapshot never
-// changes results.
-func (p *Process) sparseBlocks() (sA0, sA2 *mat.Sparse) {
+// sparseA0 returns the CSR snapshot of A0 when it is worth using (large
+// order, low density), building it at most once per process, or nil. The
+// sparse kernels are bit-identical to the dense ones (pinned in
+// internal/mat), so using the snapshot never changes results.
+func (p *Process) sparseA0() *mat.Sparse {
 	p.sparseOnce.Do(func() {
 		if p.order < sparseMinOrder {
 			return
@@ -88,11 +88,8 @@ func (p *Process) sparseBlocks() (sA0, sA2 *mat.Sparse) {
 		if s := mat.NewSparse(p.a0); s.Density() <= sparseMaxDensity {
 			p.sA0 = s
 		}
-		if s := mat.NewSparse(p.a2); s.Density() <= sparseMaxDensity {
-			p.sA2 = s
-		}
 	})
-	return p.sA0, p.sA2
+	return p.sA0
 }
 
 // New validates the repeating blocks and returns the process. A0 and A2 must
@@ -145,79 +142,58 @@ func (p *Process) A1() *mat.Matrix { return p.a1.Clone() }
 // A2 returns a copy of the down-transition block.
 func (p *Process) A2() *mat.Matrix { return p.a2.Clone() }
 
-// Drift returns the mean upward and downward drift rates (φA0e, φA2e) under
-// the stationary phase distribution φ of the generator A = A0+A1+A2. The
-// process is positive recurrent iff up < down. The result is computed once
-// and cached, so Stable and R share a single StationaryCTMC solve.
+// Drift returns the mean upward and downward drift rates (φA0e, φA2e) of
+// the level process, where φ is the stationary phase distribution of a
+// closed class of A = A0+A1+A2. The process is positive recurrent iff
+// up < down. The result is computed once and cached, so Stable and R share
+// one StationaryCTMC solve per closed class of more than one phase.
 func (p *Process) Drift() (up, down float64, err error) {
 	p.driftOnce.Do(p.computeDrift)
 	return p.driftUp, p.driftDown, p.driftErr
 }
 
+// computeDrift takes the drift from the closed classes of A, the sinks of
+// phaseBlocks. Only they carry stationary mass: A may be reducible (in the
+// paper's chain, BG-serving phases are entered only from the boundary),
+// and its φ is then the closed class's φ padded with zeros on the transient
+// phases. Restricted to a closed class, A is an irreducible generator with
+// its own φ and so its own drift. A with several closed classes (a
+// repeating region that freezes part of the phase, as under the
+// util-threshold admission policy) has no unique φ; the level process can
+// dwell arbitrarily long in any of them, so the QBD is positive recurrent
+// iff every class drifts down, and the drift reported is that of the
+// binding class (smallest down-minus-up margin). A's entries are read from
+// the three blocks directly; no m×m sum is formed.
 func (p *Process) computeDrift() {
-	a := p.a0.AddMat(p.a1).AddInPlace(p.a2)
-	var phi []float64
-	if p.order == 1 {
-		phi = []float64{1}
-	} else {
-		// Note: A may be reducible with a single recurrent class (e.g. the
-		// paper's chain, where BG-serving phases are entered only from the
-		// boundary). The LU-based solve handles that — transient phases get
-		// zero mass — whereas GTH would reject the chain outright.
-		var err error
-		phi, err = markov.StationaryCTMC(a)
-		if err != nil {
-			// A with several closed classes (e.g. a chain whose repeating
-			// region freezes part of the phase, as under the util-threshold
-			// admission policy) has no unique stationary vector. The level
-			// process can dwell arbitrarily long in any closed class, so the
-			// QBD is positive recurrent iff every class drifts down; report
-			// the drift of the binding class (smallest down-minus-up margin).
-			up, down, cerr := p.classDrift(a)
-			if cerr != nil {
-				p.driftErr = fmt.Errorf("qbd: drift: %w", err)
-				return
-			}
-			p.driftUp, p.driftDown = up, down
-			return
-		}
-	}
-	p.driftUp = mat.Dot(phi, p.a0.RowSums())
-	p.driftDown = mat.Dot(phi, p.a2.RowSums())
-}
-
-// classDrift computes the per-closed-class drift of a reducible phase
-// generator A and returns the (up, down) pair of the class with the smallest
-// stability margin down − up. Closed classes are the strongly connected
-// components of A's support graph with no edges leaving them (the sinks of
-// phaseBlocks); restricted to such a class, A is an irreducible generator
-// with its own stationary vector and therefore its own conditional drift.
-func (p *Process) classDrift(a *mat.Matrix) (up, down float64, err error) {
 	upRates := p.a0.RowSums()
 	downRates := p.a2.RowSums()
 	margin := math.Inf(1)
 	for _, class := range p.closed {
-		sub := mat.New(len(class), len(class))
-		for i, gi := range class {
-			for j, gj := range class {
-				sub.Set(i, j, a.At(gi, gj))
+		phi := []float64{1}
+		if len(class) > 1 {
+			sub := mat.New(len(class), len(class))
+			for i, gi := range class {
+				r0, r1, r2, row := p.a0.RowView(gi), p.a1.RowView(gi), p.a2.RowView(gi), sub.RowView(i)
+				for j, gj := range class {
+					row[j] = r0[gj] + r1[gj] + r2[gj]
+				}
+			}
+			var err error
+			if phi, err = markov.StationaryCTMC(sub); err != nil {
+				p.driftErr = fmt.Errorf("qbd: drift: %w", err)
+				return
 			}
 		}
-		phi, serr := markov.StationaryCTMC(sub)
-		if serr != nil {
-			return 0, 0, serr
-		}
-		var cu, cd float64
+		var up, down float64
 		for i, gi := range class {
-			cu += phi[i] * upRates[gi]
-			cd += phi[i] * downRates[gi]
+			up += phi[i] * upRates[gi]
+			down += phi[i] * downRates[gi]
 		}
-		if cd-cu < margin {
-			margin = cd - cu
-			up, down = cu, cd
+		if down-up < margin {
+			margin = down - up
+			p.driftUp, p.driftDown = up, down
 		}
 	}
-	return up, down, nil
 }
 
 // Stable reports whether the QBD is positive recurrent (mean drift strictly
@@ -234,42 +210,45 @@ func (p *Process) Stable() (bool, error) {
 // A0 + R·A1 + R²·A2 = 0, via R = A0·(−(A1 + A0·G))⁻¹. The spectral radius of
 // R is < 1 exactly when the process is stable.
 func (p *Process) R() (*mat.Matrix, error) {
-	r, _, err := p.rWS(nil, nil)
+	r, _, _, err := p.rWS(nil, nil)
 	return r, err
 }
 
 // rWS is R with an optional workspace for every intermediate and an optional
 // observer receiving the convergence trace plus a completion report (nil is
 // valid for both; with a nil observer no reports are made). It also returns
-// sp(R), the largest spectral radius of R's diagonal phase blocks.
-func (p *Process) rWS(ws *mat.Workspace, o obs.Observer) (*mat.Matrix, float64, error) {
+// N = (−(A1 + A0·G))⁻¹, drawn from ws for the caller to release, and sp(R),
+// the largest spectral radius of R's diagonal phase blocks.
+func (p *Process) rWS(ws *mat.Workspace, o obs.Observer) (r, n *mat.Matrix, sp float64, err error) {
 	stable, err := p.Stable()
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	if !stable {
 		up, down, _ := p.Drift()
-		return nil, 0, fmt.Errorf("%w: upward drift %.6g >= downward drift %.6g", ErrUnstable, up, down)
+		return nil, nil, 0, fmt.Errorf("%w: upward drift %.6g >= downward drift %.6g", ErrUnstable, up, down)
 	}
 	g, iters, residual, err := p.gWS(ws, o)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	r, err := p.rFromG(g, ws)
-	if err != nil {
-		return nil, 0, err
+	if r, n, err = p.rFromG(g, ws); err != nil {
+		return nil, nil, 0, err
 	}
-	sp := p.spectralRadius(r, ws)
+	sp = p.spectralRadius(r, ws)
 	if o != nil {
 		o.RSolved(iters, residual, sp)
 	}
-	return r, sp, nil
+	return r, n, sp, nil
 }
 
-// rFromG forms R = A0·(−(A1 + A0·G))⁻¹ from G, which it releases to ws.
-func (p *Process) rFromG(g *mat.Matrix, ws *mat.Workspace) (*mat.Matrix, error) {
+// rFromG forms R = A0·N with N = (−U)⁻¹, U = A1 + A0·G, from G, which it
+// releases to ws. It returns N too, drawn from ws: U is the censored
+// generator of the first repeating level, so the boundary fold starts from
+// N instead of factoring A1 + R·A2 (equal to U, as R·A2 = A0·G).
+func (p *Process) rFromG(g *mat.Matrix, ws *mat.Workspace) (r, inv *mat.Matrix, err error) {
 	m := p.order
-	sA0, _ := p.sparseBlocks()
+	sA0 := p.sparseA0()
 	u := ws.MatrixUninit(m, m)
 	if sA0 != nil {
 		sA0.MulInto(u, g)
@@ -277,35 +256,45 @@ func (p *Process) rFromG(g *mat.Matrix, ws *mat.Workspace) (*mat.Matrix, error) 
 		u.MulInto(p.a0, g)
 	}
 	u.AddInPlace(p.a1)
-	u.Scale(-1)
-	lu := ws.LU(m)
-	if err := mat.FactorizeInto(lu, u); err != nil {
-		ws.Release(g, u)
-		ws.ReleaseLU(lu)
-		return nil, fmt.Errorf("qbd: R: %w", err)
+	inv, err = negInverse(u, ws)
+	ws.Release(g, u)
+	if err != nil {
+		return nil, nil, fmt.Errorf("qbd: R: %w", err)
 	}
-	inv := ws.MatrixUninit(m, m)
-	lu.InverseInto(inv)
-	r := mat.New(m, m) // escapes into the Solution; never pooled
+	r = mat.New(m, m) // escapes into the Solution; never pooled
 	if sA0 != nil {
 		sA0.MulInto(r, inv)
 	} else {
 		r.MulInto(p.a0, inv)
 	}
-	ws.Release(g, u, inv)
-	ws.ReleaseLU(lu)
 	// Clamp round-off negatives: R is nonnegative in exact arithmetic.
 	for i := 0; i < r.Rows(); i++ {
 		for j := 0; j < r.Cols(); j++ {
 			if v := r.At(i, j); v < 0 {
 				if v < -1e-9 {
-					return nil, fmt.Errorf("%w: R has negative entry %g", ErrNoConvergence, v)
+					ws.Release(inv)
+					return nil, nil, fmt.Errorf("%w: R has negative entry %g", ErrNoConvergence, v)
 				}
 				r.Set(i, j, 0)
 			}
 		}
 	}
-	return r, nil
+	return r, inv, nil
+}
+
+// negInverse returns (−s)⁻¹, drawn from ws.
+func negInverse(s *mat.Matrix, ws *mat.Workspace) (*mat.Matrix, error) {
+	n := s.Rows()
+	neg := ws.MatrixUninit(n, n).ScaleInto(s, -1)
+	lu := ws.LU(n)
+	defer ws.ReleaseLU(lu)
+	defer ws.Release(neg)
+	if err := mat.FactorizeInto(lu, neg); err != nil {
+		return nil, err
+	}
+	inv := ws.MatrixUninit(n, n)
+	lu.InverseInto(inv)
+	return inv, nil
 }
 
 // spectralRadius returns sp(R) as the largest sp(R_bb) over the diagonal

@@ -4,7 +4,8 @@
 // reduction (the scheme the paper cites, ref. [10]) and the classical
 // functional iteration. Both are plain allocating code on raw repeating
 // blocks (A0 up, A1 local, A2 down) with no workspace, observer, or worker
-// plumbing, so they share nothing with the code they check.
+// plumbing, so they share nothing with the code they check. GTH is the
+// element-wise reference of the kernel that solves the boundary's level 0.
 package qbdtest
 
 import (
@@ -98,4 +99,60 @@ func FunctionalIterationR(a0, a1, a2 *mat.Matrix, tol float64, maxIter int) (*ma
 		}
 	}
 	return nil, fmt.Errorf("qbdtest: functional iteration did not converge in %d steps", maxIter)
+}
+
+// GTH is the element-wise form of markov.StationaryCTMCGTH, which must
+// match it bit for bit: the same censoring sweep and back substitution
+// through At, Set and Add, with the diagonal skipped in the update instead
+// of reset after it. q must be a generator of order at least one; a state
+// that cannot reach a lower-indexed one is an error.
+func GTH(q *mat.Matrix) ([]float64, error) {
+	n := q.Rows()
+	a := mat.New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				v := q.At(i, j)
+				if v < 0 {
+					v = 0
+				}
+				a.Set(i, j, v)
+			}
+		}
+	}
+	for k := n - 1; k >= 1; k-- {
+		var out float64
+		for j := 0; j < k; j++ {
+			out += a.At(k, j)
+		}
+		if out <= 0 {
+			return nil, fmt.Errorf("qbdtest: GTH: state %d cannot reach lower-indexed states", k)
+		}
+		for i := 0; i < k; i++ {
+			aik := a.At(i, k)
+			if aik == 0 {
+				continue
+			}
+			scale := aik / out
+			for j := 0; j < k; j++ {
+				if j != i {
+					a.Add(i, j, scale*a.At(k, j))
+				}
+			}
+		}
+	}
+	pi := make([]float64, n)
+	pi[0] = 1
+	for k := 1; k < n; k++ {
+		var out float64
+		for j := 0; j < k; j++ {
+			out += a.At(k, j)
+		}
+		var in float64
+		for i := 0; i < k; i++ {
+			in += pi[i] * a.At(i, k)
+		}
+		pi[k] = in / out
+	}
+	return mat.ScaleVec(pi, 1/mat.Sum(pi)), nil
 }

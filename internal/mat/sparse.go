@@ -2,8 +2,8 @@ package mat
 
 // Sparse is a compressed-sparse-row (CSR) snapshot of a matrix: the exact
 // nonzero structure and values at capture time. The QBD solver uses it for
-// the highly structured generator blocks (A0/A2 and the boundary Up/Down
-// blocks are mostly scaled identities and block bands), whose products
+// the highly structured generator blocks (A0 and the boundary Down blocks
+// are mostly scaled identities and block bands), whose products
 // against dense iterates then cost O(nnz·n) instead of O(n³).
 //
 // Determinism contract: both multiply kernels apply the per-output-element

@@ -1,6 +1,7 @@
 // Command bgperfd serves the paper's analytic model as a long-running
-// HTTP/JSON daemon: a solver-as-a-service front-end with an LRU solve
-// cache, singleflight request coalescing, per-request deadlines, and
+// HTTP/JSON daemon: a solver-as-a-service front-end with one keyed table
+// of results — an LRU solve cache whose in-flight entries let concurrent
+// identical requests share one solve — per-request deadlines, and
 // graceful draining on SIGTERM/SIGINT. Opt-in layers turn one process
 // into a deployable tier: a persistent disk cache (-cache-dir), an
 // admission gate (-max-inflight), and cluster mode (-peers/-self) —

@@ -399,9 +399,14 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 	return f.SolveVec(b), nil
 }
 
-// SolveLeft solves the row-vector system x·a = b, i.e. aᵀ·xᵀ = bᵀ.
+// SolveLeft solves the row-vector system x·a = b on a factorization of a
+// itself (see SolveLeftInto), so no transpose is formed.
 func SolveLeft(a *Matrix, b []float64) ([]float64, error) {
-	return Solve(a.Transpose(), b)
+	f, err := Factorize(a)
+	if err != nil {
+		return nil, err
+	}
+	return f.SolveLeftInto(make([]float64, len(b)), b), nil
 }
 
 // Inverse returns a⁻¹ or ErrSingular.

@@ -241,3 +241,35 @@ func TestIntoKernelsZeroAlloc(t *testing.T) {
 		t.Errorf("workspace matrix round trip allocated %.0f times per run, want 0", allocs)
 	}
 }
+
+// TestSolveLeftAllocs pins that SolveLeft factors a itself: it allocates
+// what Factorize does plus the answer, with no transposed copy, and its
+// answer is bit-identical to SolveLeftInto on the same factorization.
+func TestSolveLeftAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are perturbed under the race detector")
+	}
+	rng := rand.New(rand.NewSource(4))
+	const n = 24
+	a := diagDominant(rng, n)
+	b := randVec(rng, n)
+	f, err := Factorize(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := f.SolveLeftInto(make([]float64, n), b)
+	x, err := SolveLeft(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("x[%d] = %v, SolveLeftInto gives %v", i, x[i], want[i])
+		}
+	}
+	factor := testing.AllocsPerRun(20, func() { Factorize(a) })
+	solve := testing.AllocsPerRun(20, func() { SolveLeft(a, b) })
+	if solve != factor+1 {
+		t.Errorf("SolveLeft allocated %.0f times per run, want Factorize's %.0f plus the answer", solve, factor)
+	}
+}

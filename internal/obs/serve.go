@@ -35,23 +35,27 @@ const serveLatencyWindow = 1024
 // ServeStats is the snapshot of one ServeCollector — the serve-layer section
 // of the bgperfd /metrics report.
 type ServeStats struct {
-	// Requests counts solve-point requests handled (solve requests plus
-	// individual sweep points), whatever their outcome.
+	// Requests counts solve points (solve requests plus individual sweep
+	// points) and capacity plans (optimize and plan-from-trace requests
+	// that reach the plan cache) handled, whatever their outcome.
 	Requests int64 `json:"requests"`
-	// CacheHits counts requests answered straight from the solve cache.
+	// CacheHits counts solve points and plans answered straight from the
+	// memory solve or plan cache.
 	CacheHits int64 `json:"cacheHits"`
-	// CacheMisses counts requests that found no cached solution.
+	// CacheMisses counts solve points and plans that found no answer in
+	// the memory solve or plan cache.
 	CacheMisses int64 `json:"cacheMisses"`
-	// Coalesced counts requests that piggybacked on an identical in-flight
-	// solve instead of starting their own.
+	// Coalesced counts solve points and plans that piggybacked on an
+	// identical in-flight solve or search instead of starting their own.
 	Coalesced int64 `json:"coalesced"`
 	// Solves counts solver invocations actually performed — cache misses
-	// that won their coalescing group and ran the QBD machinery.
+	// that started the call for their key and ran the QBD machinery.
 	Solves int64 `json:"solves"`
 	// Plans counts inverse-solver searches actually performed — capacity
-	// plans that missed the plan cache and won their coalescing group. One
-	// plan runs many internal forward solves; those are not counted under
-	// Solves, which tallies only request-level solver invocations.
+	// plans that missed the plan cache and started the call for their
+	// key. One plan runs many internal forward solves; those are not
+	// counted under Solves, which tallies only request-level solver
+	// invocations.
 	Plans int64 `json:"plans"`
 	// InFlight is the number of solves running at snapshot time.
 	InFlight int64 `json:"inFlight"`
@@ -115,7 +119,8 @@ type ServeCollector struct {
 // NewServeCollector returns an empty serve-layer collector.
 func NewServeCollector() *ServeCollector { return &ServeCollector{} }
 
-// Request records one solve-point request entering the serving stack.
+// Request records one solve point or capacity plan entering the serving
+// stack.
 func (s *ServeCollector) Request() {
 	if s == nil {
 		return
@@ -126,7 +131,7 @@ func (s *ServeCollector) Request() {
 	expServeRequests.Add(1)
 }
 
-// CacheHit records a request answered from the solve cache.
+// CacheHit records a point or plan answered from the memory cache.
 func (s *ServeCollector) CacheHit() {
 	if s == nil {
 		return
@@ -137,7 +142,7 @@ func (s *ServeCollector) CacheHit() {
 	expServeCacheHits.Add(1)
 }
 
-// CacheMiss records a request that found no cached solution.
+// CacheMiss records a point or plan that missed the memory cache.
 func (s *ServeCollector) CacheMiss() {
 	if s == nil {
 		return
@@ -148,7 +153,8 @@ func (s *ServeCollector) CacheMiss() {
 	expServeCacheMisses.Add(1)
 }
 
-// Coalesced records a request that joined an identical in-flight solve.
+// Coalesced records a point or plan that joined an identical in-flight
+// solve or search.
 func (s *ServeCollector) Coalesced() {
 	if s == nil {
 		return

@@ -91,16 +91,12 @@ func TestBoundaryMatchesExplicitFold(t *testing.T) {
 			for j := 1; j < len(ts); j++ {
 				levels = append(levels, ts[j].VecMul(levels[j-1]))
 			}
-			// The tail mass RepPi·(I−R)⁻¹ takes Solve's left solve on a
-			// factorization of I−R. mat.SolveLeft factors the transpose
-			// instead, and on the email chains, where 1/(1−sp(R)) is about
-			// 1e5, its different rounding alone moves the normalization
-			// by up to 4e-11.
-			f, err := mat.Factorize(mat.Identity(r.Rows()).SubMat(r))
+			// The tail mass RepPi·(I−R)⁻¹: a left solve on a factorization
+			// of I−R, as Solve normalizes.
+			tail, err := mat.SolveLeft(mat.Identity(r.Rows()).SubMat(r), levels[len(levels)-1])
 			if err != nil {
 				t.Fatalf("I−R: %v", err)
 			}
-			tail := f.SolveLeftInto(make([]float64, r.Rows()), levels[len(levels)-1])
 			total := mat.Sum(tail)
 			for _, pi := range levels[:len(levels)-1] {
 				total += mat.Sum(pi)

@@ -1,14 +1,15 @@
 // Package serve implements the HTTP serving layer of the bgperfd daemon: a
 // long-running solver-as-a-service front-end over the analytic engine.
 //
-// The serving stack layers three mechanisms over core.Model.Solve, all keyed
-// by the canonical configuration hash (core.CacheKey):
+// The serving stack puts two mechanisms in front of core.Model.Solve:
 //
-//   - an LRU solve cache (bounded entry count and byte budget) — identical
-//     parameter points are answered without touching the QBD solver;
-//   - singleflight request coalescing — N concurrent requests for the same
-//     uncached point cost exactly one solve, with the followers sharing the
-//     leader's result;
+//   - one keyed table of results (memo), keyed by the canonical
+//     configuration hash (core.CacheKey), whose entries are either finished
+//     or in flight — finished entries form an LRU solve cache (bounded
+//     entry count and byte budget), so identical parameter points are
+//     answered without touching the QBD solver, and an in-flight entry
+//     makes N concurrent requests for the same uncached point cost exactly
+//     one solve, every request sharing the one call's result;
 //   - per-request deadlines and graceful draining — requests carry a
 //     context deadline (504 on expiry), and a draining server answers new
 //     work with 503 while in-flight solves complete.
@@ -34,8 +35,8 @@
 //
 // The same stack serves the inverse solver: POST /v1/optimize answers
 // capacity plans (max sustainable background probability, buffer, or idle
-// rate under a foreground SLO) through a plan cache and plan coalescing
-// group keyed by plan.CacheKey, and POST /v1/plan-from-trace runs the
+// rate under a foreground SLO) through a second keyed table of plans keyed
+// by plan.CacheKey, and POST /v1/plan-from-trace runs the
 // paper's complete workflow — upload an NDJSON trace, fit an MMPP(2),
 // project the capacity plan — in one request.
 //
@@ -129,27 +130,25 @@ type Options struct {
 	HealthInterval time.Duration
 }
 
-// Server is the bgperfd HTTP service: handlers plus the solve cache, the
-// coalescing group, and the serve-layer statistics. Create it with New and
-// mount Handler on an http.Server.
+// Server is the bgperfd HTTP service: handlers plus the keyed tables of
+// solved points and plans, and the serve-layer statistics. Create it with
+// New and mount Handler on an http.Server.
 type Server struct {
-	cache     *cache[core.Metrics]
-	plans     *cache[*plan.Result]
-	disk      *cas.Store
-	cl        *cluster.Cluster
-	gate      *gate
-	group     *flightGroup[core.Metrics]
-	planGroup *flightGroup[*plan.Result]
-	stats     *obs.ServeCollector
-	diag      *obs.Diagnostics
-	workers   int
-	timeout   time.Duration
-	draining  atomic.Bool
-	mux       *http.ServeMux
+	cache    *memo[core.Metrics]
+	plans    *memo[*plan.Result]
+	disk     *cas.Store
+	cl       *cluster.Cluster
+	gate     *gate
+	stats    *obs.ServeCollector
+	diag     *obs.Diagnostics
+	workers  int
+	timeout  time.Duration
+	draining atomic.Bool
+	mux      *http.ServeMux
 
-	// solveBarrier, when set by tests, runs inside the leader's solve —
-	// before the solver — so tests can hold a solve in flight while
-	// follower requests pile onto the coalescing group.
+	// solveBarrier, when set by tests, runs inside the call that solves a
+	// point or plan — before the solver — so tests can hold the call in
+	// flight while other requests for the same key wait on it.
 	solveBarrier func()
 }
 
@@ -176,15 +175,13 @@ func New(opts Options) (*Server, error) {
 		timeout = DefaultRequestTimeout
 	}
 	s := &Server{
-		cache:     newCache[core.Metrics](entries, bytes, nil),
-		plans:     newCache[*plan.Result](entries, bytes, planResultSize),
-		group:     newFlightGroup[core.Metrics](),
-		planGroup: newFlightGroup[*plan.Result](),
-		stats:     obs.NewServeCollector(),
-		diag:      obs.NewDiagnostics(),
-		workers:   opts.Workers,
-		timeout:   timeout,
-		mux:       http.NewServeMux(),
+		cache:   newMemo[core.Metrics](entries, bytes, nil),
+		plans:   newMemo[*plan.Result](entries, bytes, planResultSize),
+		stats:   obs.NewServeCollector(),
+		diag:    obs.NewDiagnostics(),
+		workers: opts.Workers,
+		timeout: timeout,
+		mux:     http.NewServeMux(),
 	}
 	s.gate = newGate(opts.MaxInFlight, opts.MaxQueue, s.stats)
 	if opts.CacheDir != "" {
@@ -299,9 +296,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // PointResult carrying only its error, so every failure body on every
 // endpoint reads {"error": {code, message, field?}}.
 func writeError(w http.ResponseWriter, status int, err error) {
-	res := errResult("", err)
-	finishResult(&res, status)
-	writeJSON(w, status, res)
+	writeJSON(w, status, PointResult{Error: newErrorBody(status, err)})
+}
+
+// newErrorBody wraps err into the error envelope stamped with its HTTP
+// status, naming the offending field for validation failures.
+func newErrorBody(status int, err error) *errorBody {
+	body := &errorBody{Code: status, Message: err.Error()}
+	var verr *core.ValidationError
+	if errors.As(err, &verr) {
+		body.Field = verr.Field
+	}
+	return body
 }
 
 // statusFor maps solver errors to HTTP statuses: validation failures and
@@ -371,20 +377,21 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, body any) (ctx co
 }
 
 // solvePoint answers one parameter point through the full serving
-// pipeline: memory LRU → disk tier → cluster routing → coalescer →
-// solver. local forces a local answer (set for requests a peer already
-// routed here, so routing loops are impossible). It never panics on user
-// input; all failures come back as a PointResult with Error set and the
-// matching HTTP status.
+// pipeline: memory LRU → disk tier → cluster routing → the memo's call for
+// the key → solver, writing solved points through to the disk tier. local
+// forces a local answer (set for requests a peer already routed here, so
+// routing loops are impossible). It never panics on user input; all
+// failures come back as a PointResult with Error set and the matching HTTP
+// status.
 func (s *Server) solvePoint(ctx context.Context, req SolveRequest, local bool) (PointResult, int) {
 	s.stats.Request()
 	cfg, err := req.Config()
 	if err != nil {
-		return errResult("", err), statusFor(err)
+		return pointErr("", err)
 	}
 	key, err := core.CacheKey(cfg)
 	if err != nil {
-		return errResult("", err), statusFor(err)
+		return pointErr("", err)
 	}
 	if m, ok := s.cache.Get(key); ok {
 		s.stats.CacheHit()
@@ -397,7 +404,7 @@ func (s *Server) solvePoint(ctx context.Context, req SolveRequest, local bool) (
 		return PointResult{Key: key, Cached: true, DiskCached: true, Metrics: &m}, http.StatusOK
 	}
 	if err := ctx.Err(); err != nil {
-		return errResult(key, deadlineErr(err)), http.StatusGatewayTimeout
+		return pointErr(key, deadlineErr(err))
 	}
 	if s.cl != nil && !local {
 		if peer, isLocal := s.cl.Owner(key); !isLocal {
@@ -407,17 +414,11 @@ func (s *Server) solvePoint(ctx context.Context, req SolveRequest, local bool) (
 			// Forward failed: degrade to a local solve below.
 		}
 	}
-	m, err, coalesced := s.group.Do(ctx, key, func() (core.Metrics, error) {
+	m, src, err := s.cache.Do(ctx, key, func() (core.Metrics, error) {
 		if s.solveBarrier != nil {
 			s.solveBarrier()
 		}
-		// Double-check the cache under leadership: between this request's
-		// miss and its winning the coalescing group, an earlier leader for
-		// the same key may have completed and populated the entry.
-		if m, ok := s.cache.Get(key); ok {
-			s.stats.CacheHit()
-			return m, nil
-		}
+		// Do checked ctx before this call; the barrier may outlast it.
 		if err := ctx.Err(); err != nil {
 			return core.Metrics{}, deadlineErr(err)
 		}
@@ -433,41 +434,38 @@ func (s *Server) solvePoint(ctx context.Context, req SolveRequest, local bool) (
 		if err != nil {
 			return core.Metrics{}, err
 		}
-		s.cache.Add(key, sol.Metrics)
 		s.diskPut(key, sol.Metrics)
 		return sol.Metrics, nil
 	})
-	if coalesced {
-		s.stats.Coalesced()
-	}
+	s.countSource(src)
 	if err != nil {
-		return errResult(key, err), statusFor(err)
+		return pointErr(key, err)
 	}
-	return PointResult{Key: key, Coalesced: coalesced, Metrics: &m}, http.StatusOK
+	return PointResult{Key: key, Cached: src == memoStored, Coalesced: src == memoShared, Metrics: &m}, http.StatusOK
 }
 
-// errResult wraps err into a PointResult, naming the offending field for
-// validation failures; the status code is stamped later by finishResult.
-func errResult(key string, err error) PointResult {
-	body := errorBody{Message: err.Error()}
-	var verr *core.ValidationError
-	if errors.As(err, &verr) {
-		body.Field = verr.Field
+// countSource records what Do's answer source adds to the counters: a
+// finished entry is a cache hit, a shared call a coalesced request.
+func (s *Server) countSource(src memoSource) {
+	switch src {
+	case memoStored:
+		s.stats.CacheHit()
+	case memoShared:
+		s.stats.Coalesced()
 	}
-	return PointResult{Key: key, Error: &body}
+}
+
+// pointErr answers a failed point: err in the error envelope, with the
+// status statusFor maps it to.
+func pointErr(key string, err error) (PointResult, int) {
+	status := statusFor(err)
+	return PointResult{Key: key, Error: newErrorBody(status, err)}, status
 }
 
 // deadlineErr wraps a context error so the response explains whose clock
 // expired while keeping errors.Is matchability.
 func deadlineErr(err error) error {
 	return fmt.Errorf("serve: request deadline expired before the solve ran: %w", err)
-}
-
-// finishResult stamps the final status code into an error result's body.
-func finishResult(r *PointResult, status int) {
-	if r.Error != nil {
-		r.Error.Code = status
-	}
 }
 
 // errShed is the body of an admission-gate 503.
@@ -550,7 +548,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer done()
 	res, status := s.solvePoint(ctx, req, r.Header.Get(cluster.ForwardedHeader) != "")
-	finishResult(&res, status)
 	writeJSON(w, status, res)
 }
 
@@ -581,9 +578,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	results := make([]PointResult, len(req.Points))
 	par.ForCtx(ctx, s.workers, len(req.Points), func(i int) error {
-		res, status := s.solvePoint(ctx, req.Points[i], local)
-		finishResult(&res, status)
-		results[i] = res
+		results[i], _ = s.solvePoint(ctx, req.Points[i], local)
 		return nil
 	})
 	writeJSON(w, http.StatusOK, SweepResponse{Results: results})
@@ -621,27 +616,9 @@ type FitSummary struct {
 	ACF1 float64 `json:"acf1"`
 }
 
-// planErrResult wraps err into a PlanPointResult, naming the offending
-// field for validation failures.
-func planErrResult(key string, err error) PlanPointResult {
-	body := errorBody{Message: err.Error()}
-	var verr *core.ValidationError
-	if errors.As(err, &verr) {
-		body.Field = verr.Field
-	}
-	return PlanPointResult{Key: key, Error: &body}
-}
-
-// finishPlanResult stamps the final status code into an error result's body.
-func finishPlanResult(r *PlanPointResult, status int) {
-	if r.Error != nil {
-		r.Error.Code = status
-	}
-}
-
-// planPoint answers one capacity plan through the plan cache → coalescer →
-// inverse-solver pipeline — the planner's mirror of solvePoint. The cache
-// key (plan.CacheKey) covers only result-determining inputs, so the runtime
+// planPoint answers one capacity plan through the plan memo → inverse-
+// solver pipeline — the planner's mirror of solvePoint. The cache key
+// (plan.CacheKey) covers only result-determining inputs, so the runtime
 // knobs stamped here (workers, observer, context) never fragment it.
 func (s *Server) planPoint(ctx context.Context, cfg core.Config, slo plan.SLO, popts plan.Options) (PlanPointResult, int) {
 	s.stats.Request()
@@ -650,44 +627,35 @@ func (s *Server) planPoint(ctx context.Context, cfg core.Config, slo plan.SLO, p
 	popts.Ctx = ctx
 	key, err := plan.CacheKey(cfg, slo, popts)
 	if err != nil {
-		return planErrResult("", err), statusFor(err)
+		return planErr("", err)
 	}
-	if p, ok := s.plans.Get(key); ok {
-		s.stats.CacheHit()
-		return PlanPointResult{Key: key, Cached: true, Plan: p}, http.StatusOK
-	}
-	s.stats.CacheMiss()
-	if err := ctx.Err(); err != nil {
-		return planErrResult(key, deadlineErr(err)), http.StatusGatewayTimeout
-	}
-	p, err, coalesced := s.planGroup.Do(ctx, key, func() (*plan.Result, error) {
+	p, src, err := s.plans.Do(ctx, key, func() (*plan.Result, error) {
 		if s.solveBarrier != nil {
 			s.solveBarrier()
 		}
-		// Double-check the cache under leadership, as solvePoint does.
-		if p, ok := s.plans.Get(key); ok {
-			s.stats.CacheHit()
-			return p, nil
-		}
+		// Do checked ctx before this call; the barrier may outlast it.
 		if err := ctx.Err(); err != nil {
 			return nil, deadlineErr(err)
 		}
 		s.stats.PlanStart()
-		p, err := plan.Maximize(cfg, slo, popts)
-		s.stats.PlanDone()
-		if err != nil {
-			return nil, err
-		}
-		s.plans.Add(key, p)
-		return p, nil
+		defer s.stats.PlanDone()
+		return plan.Maximize(cfg, slo, popts)
 	})
-	if coalesced {
-		s.stats.Coalesced()
+	if src != memoStored {
+		s.stats.CacheMiss()
 	}
+	s.countSource(src)
 	if err != nil {
-		return planErrResult(key, err), statusFor(err)
+		return planErr(key, err)
 	}
-	return PlanPointResult{Key: key, Coalesced: coalesced, Plan: p}, http.StatusOK
+	return PlanPointResult{Key: key, Cached: src == memoStored, Coalesced: src == memoShared, Plan: p}, http.StatusOK
+}
+
+// planErr answers a failed plan: err in the error envelope, with the
+// status statusFor maps it to.
+func planErr(key string, err error) (PlanPointResult, int) {
+	status := statusFor(err)
+	return PlanPointResult{Key: key, Error: newErrorBody(status, err)}, status
 }
 
 // handleOptimize answers POST /v1/optimize: one capacity plan.
@@ -704,7 +672,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, status := s.planPoint(ctx, cfg, slo, popts)
-	finishPlanResult(&res, status)
 	writeJSON(w, status, res)
 }
 
@@ -754,7 +721,6 @@ func (s *Server) handlePlanFromTrace(w http.ResponseWriter, r *http.Request) {
 			ACF1:    fitted.ACF(1),
 		}
 	}
-	finishPlanResult(&res, status)
 	writeJSON(w, status, res)
 }
 

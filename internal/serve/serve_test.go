@@ -299,14 +299,14 @@ func TestConcurrentIdenticalRequestsCoalesce(t *testing.T) {
 		}(i)
 	}
 	// Hold the one in-flight solve until the other M−1 requests are parked
-	// on its coalescing group, so every request provably shares the single
+	// on its call, so every request provably shares the single
 	// solve rather than being answered by a completed cache entry.
 	for deadline := time.Now().Add(10 * time.Second); ; {
-		if s.group.waiters.Load() == m-1 {
+		if s.cache.waiters.Load() == m-1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("followers never parked: %+v (waiters %d)", s.Stats(), s.group.waiters.Load())
+			t.Fatalf("followers never parked: %+v (waiters %d)", s.Stats(), s.cache.waiters.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -57,9 +57,7 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, req Swe
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		res, status := s.solvePoint(ctx, req.Points[i], local)
-		finishResult(&res, status)
-		results[i] = res
+		results[i], _ = s.solvePoint(ctx, req.Points[i], local)
 		close(done[i])
 		return nil
 	})

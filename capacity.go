@@ -54,9 +54,9 @@ func ParsePlanVar(s string) (PlanVar, error) { return plan.ParseVar(s) }
 // the metrics there and a small sensitivity neighborhood. When even the
 // most conservative setting of the variable violates slo — or the
 // foreground load alone saturates the server — Plan returns ErrInfeasible
-// rather than clamping. WithTolerance and WithMaxIter control convergence;
-// WithWorkers, WithObserver, and WithContext apply to the underlying
-// solves.
+// rather than clamping. WithTolerance controls convergence and bounds the
+// search's iterations; WithWorkers, WithObserver, and WithContext apply to
+// the underlying solves.
 func Plan(cfg Config, slo SLO, opts ...Option) (*PlanResult, error) {
 	o := apply(opts)
 	if o.err != nil {

@@ -4,6 +4,7 @@
 // Usage:
 //
 //	bgperf solve -workload email -util 0.3 -p 0.3            # analytic metrics
+//	bgperf solve -workload softdev -util 0.2 -p 0.3 -p2 0.3  # two BG priorities
 //	bgperf plan  -workload email -util 0.3 -slo-qlen 5       # max sustainable p under an SLO
 //	bgperf plan  -trace io.ndjson -slo-resp 50 -var alpha    # ingest → fit → project
 //	bgperf sim   -workload softdev -util 0.5 -p 0.6 -time 2e8
@@ -11,7 +12,6 @@
 //	bgperf trace -workload email -n 100000 -out trace.csv    # synthetic trace
 //	bgperf fit   -rate 0.0133 -scv 100 -decay 0.999          # MMPP2 moment fit
 //	bgperf acf   -workload useraccounts -lags 50             # analytic ACF
-//	bgperf multi -workload softdev -util 0.2 -p1 0.25 -p2 0.5 # two BG priorities
 //	bgperf transient -workload email -util 0.1 -horizon 500  # warmup trajectory
 //	bgperf check -n 64 -seed 1                               # solver/simulator conformance
 //
@@ -22,7 +22,9 @@
 // daemon uses (internal/serve.SolveRequest), so a CLI invocation and the
 // equivalent HTTP request always describe — and cache-key to — the same
 // model, and `bgperf plan -json` is byte-identical to the daemon's
-// /v1/optimize "plan" object.
+// /v1/optimize "plan" object. solve, plan, sim and transient share those
+// model flags, including -p2/-buffer2 for a second, lower-priority
+// background class (the paper's Sec. 6 multiple priority levels).
 package main
 
 import (
@@ -52,7 +54,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("missing subcommand (solve | plan | sim | trace | fit | acf | multi | transient | check)")
+		return fmt.Errorf("missing subcommand (solve | plan | sim | trace | fit | acf | transient | check)")
 	}
 	switch args[0] {
 	case "solve":
@@ -67,18 +69,16 @@ func run(args []string, out io.Writer) error {
 		return cmdFit(args[1:], out)
 	case "acf":
 		return cmdACF(args[1:], out)
-	case "multi":
-		return cmdMulti(args[1:], out)
 	case "transient":
 		return cmdTransient(args[1:], out)
 	case "check":
 		return cmdCheck(args[1:], out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want solve | plan | sim | trace | fit | acf | multi | transient | check)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want solve | plan | sim | trace | fit | acf | transient | check)", args[0])
 	}
 }
 
-// modelFlags adds the flags shared by solve and sim.
+// modelFlags holds the model flags shared by solve, plan, sim and transient.
 type modelFlags struct {
 	workload     *string
 	util         *float64
@@ -92,6 +92,8 @@ type modelFlags struct {
 	admit        *string
 	fgThreshold  *int
 	deadlineRate *float64
+	p2           *float64
+	buffer2      *int
 }
 
 func addModelFlags(fs *flag.FlagSet) modelFlags {
@@ -108,6 +110,8 @@ func addModelFlags(fs *flag.FlagSet) modelFlags {
 		admit:        fs.String("admit", "all", "background admission policy (all | util-threshold | deadline)"),
 		fgThreshold:  fs.Int("fgthreshold", 0, "util-threshold policy: admit BG only when at most this many FG jobs wait"),
 		deadlineRate: fs.Float64("deadlinerate", 0, "deadline policy: renege rate δ per waiting background job"),
+		p2:           fs.Float64("p2", 0, "spawn probability of a second, lower-priority background class (0 = none; p + p2 <= 1)"),
+		buffer2:      fs.Int("buffer2", 5, "class-2 background buffer capacity (used when -p2 > 0)"),
 	}
 }
 
@@ -132,6 +136,8 @@ func (f modelFlags) request() (serve.SolveRequest, error) {
 		BGAdmit:      *f.admit,
 		FGThreshold:  *f.fgThreshold,
 		DeadlineRate: *f.deadlineRate,
+		BG2Prob:      *f.p2,
+		BG2Buffer:    f.buffer2,
 	}, nil
 }
 
@@ -173,6 +179,11 @@ func printMetrics(out io.Writer, m core.Metrics) {
 	fmt.Fprintf(out, "util fg/bg           %12.6g %.6g\n", m.UtilFG, m.UtilBG)
 	fmt.Fprintf(out, "p(idle-wait)/p(empty)%12.6g %.6g\n", m.ProbIdleWait, m.ProbEmpty)
 	fmt.Fprintf(out, "bg gen/drop rate     %12.6g %.6g\n", m.GenRateBG, m.DropRateBG)
+	if bg2 := m.BG2; bg2 != nil {
+		fmt.Fprintf(out, "class-2 completion   %12.6g\n", bg2.Comp)
+		fmt.Fprintf(out, "class-2 queue length %12.6g\n", bg2.QLen)
+		fmt.Fprintf(out, "bg throughput 1/2    %12.6g %.6g\n", m.ThroughputBG, bg2.Throughput)
+	}
 }
 
 // printTails appends tail descriptors to the solve output.
@@ -233,8 +244,12 @@ func cmdSolve(args []string, out io.Writer) error {
 	} else if cfg.IdleRate > 0 {
 		idleMean = 1 / cfg.IdleRate
 	}
-	fmt.Fprintf(out, "workload %s, fg-util %.4g, p %.3g, buffer %d, idle wait %.3g ms (%s)\n",
-		*mf.workload, model.FGUtilization(), cfg.BGProb, cfg.BGBuffer, idleMean, cfg.IdlePolicy)
+	fmt.Fprintf(out, "workload %s, fg-util %.4g, p %.3g, buffer %d, ",
+		*mf.workload, model.FGUtilization(), cfg.BGProb, cfg.BGBuffer)
+	if cfg.BG2Prob > 0 {
+		fmt.Fprintf(out, "p2 %.3g, buffer2 %d, ", cfg.BG2Prob, cfg.BG2Buffer)
+	}
+	fmt.Fprintf(out, "idle wait %.3g ms (%s)\n", idleMean, cfg.IdlePolicy)
 	printMetrics(out, sol.Metrics)
 	printTails(out, sol)
 	if diag != nil {
@@ -256,8 +271,7 @@ func cmdPlan(args []string, out io.Writer) error {
 		sloWaitP  = fs.Float64("slo-waitp", 0, "SLO: bound on the fraction of foreground arrivals delayed by background work (0 = unset)")
 		sloResp   = fs.Float64("slo-resp", 0, "SLO: mean foreground response time bound in ms (0 = unset)")
 		varName   = fs.String("var", "p", "decision variable: p (BG spawn probability), x (BG buffer), alpha (idle rate), or mod (minimum feasible modulation factor φ)")
-		tol       = fs.Float64("tol", 0, "convergence tolerance of the continuous searches (0 = planner default)")
-		maxIter   = fs.Int("maxiter", 0, "search iteration bound (0 = planner default; no search needs more than bisection's count)")
+		tol       = fs.Float64("tol", 0, "convergence tolerance of the continuous searches (0 = planner default); it also bounds the search's iterations")
 		tracePath = fs.String("trace", "", "fit the arrival process from this NDJSON trace instead of -workload")
 		workers   = fs.Int("workers", 0, "max goroutines for the sensitivity neighborhood (0 = all cores); results are identical for every setting")
 		asJSON    = fs.Bool("json", false, "emit the plan report as JSON (byte-identical to the daemon's /v1/optimize plan object)")
@@ -284,9 +298,6 @@ func cmdPlan(args []string, out io.Writer) error {
 	}
 	if *tol != 0 {
 		opts = append(opts, bgperf.WithTolerance(*tol))
-	}
-	if *maxIter != 0 {
-		opts = append(opts, bgperf.WithMaxIter(*maxIter))
 	}
 	if *diagPath != "" {
 		diag = obs.NewDiagnostics()
@@ -538,69 +549,6 @@ func cmdACF(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "%s: rate=%.6g scv=%.6g\n", *name, m.Rate(), m.SCV())
 	for k, v := range m.ACFSeries(*lags) {
 		fmt.Fprintf(out, "%4d %.6f\n", k+1, v)
-	}
-	return nil
-}
-
-func cmdMulti(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("multi", flag.ContinueOnError)
-	var (
-		name     = fs.String("workload", "softdev", "arrival workload")
-		util     = fs.Float64("util", 0, "foreground utilization to scale to (0 keeps the native trace load)")
-		p1       = fs.Float64("p1", 0.25, "spawn probability of class-1 (priority) background jobs")
-		p2       = fs.Float64("p2", 0.5, "spawn probability of class-2 background jobs")
-		buf1     = fs.Int("buffer1", 5, "class-1 buffer capacity")
-		buf2     = fs.Int("buffer2", 5, "class-2 buffer capacity")
-		idleMult = fs.Float64("idlemult", 1, "mean idle wait in multiples of the 6 ms service time")
-		diagPath = fs.String("diag", "", "write a JSON diagnostics report (stage timings, convergence trace) to this file")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	m, err := serve.Workload(*name)
-	if err != nil {
-		return err
-	}
-	if *util > 0 {
-		if m, err = workload.AtUtilization(m, *util); err != nil {
-			return err
-		}
-	}
-	if *idleMult <= 0 {
-		return fmt.Errorf("idlemult must be positive")
-	}
-	var diag *obs.Diagnostics
-	var opts []bgperf.Option
-	if *diagPath != "" {
-		diag = obs.NewDiagnostics()
-		opts = append(opts, bgperf.WithObserver(diag))
-	}
-	sol, err := bgperf.Solve(bgperf.Config{
-		Arrival:     m,
-		ServiceRate: workload.ServiceRatePerMs,
-		BGProb:      *p1,
-		BG2Prob:     *p2,
-		BGBuffer:    *buf1,
-		BG2Buffer:   *buf2,
-		IdleRate:    workload.ServiceRatePerMs / *idleMult,
-	}, opts...)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "workload %s, p1 %.3g (priority), p2 %.3g, buffers %d+%d\n",
-		*name, *p1, *p2, *buf1, *buf2)
-	fmt.Fprintf(out, "fg queue length        %12.6g\n", sol.QLenFG)
-	fmt.Fprintf(out, "fg delayed by bg       %12.6g\n", sol.WaitPFG)
-	bg2 := sol.BG2
-	if bg2 == nil { // p2 = 0: a single-class model
-		bg2 = &core.ClassMetrics{Comp: 1}
-	}
-	fmt.Fprintf(out, "class-1 completion     %12.6g\n", sol.CompBG)
-	fmt.Fprintf(out, "class-2 completion     %12.6g\n", bg2.Comp)
-	fmt.Fprintf(out, "class-1/2 queue length %12.6g %.6g\n", sol.QLenBG, bg2.QLen)
-	fmt.Fprintf(out, "class-1/2 throughput   %12.6g %.6g\n", sol.ThroughputBG, bg2.Throughput)
-	if diag != nil {
-		return writeDiag(*diagPath, diag, out)
 	}
 	return nil
 }

@@ -84,7 +84,7 @@ func TestUnknownWorkloadMessage(t *testing.T) {
 		{"plan", "-slo-qlen", "5"},
 		{"trace"},
 		{"acf"},
-		{"multi"},
+		{"transient"},
 	} {
 		t.Run(args[0], func(t *testing.T) {
 			_, err := runCmd(t, append(args, "-workload", "zzz")...)
@@ -173,7 +173,7 @@ func TestPlanErrors(t *testing.T) {
 		{"plan", "-slo-qlen", "5", "-var", "q"},                       // unknown variable
 		{"plan", "-slo-qlen", "5", "-var", "alpha", "-idlescv", "4"},  // α-search needs exponential idle
 		{"plan", "-slo-qlen", "5", "-tol", "-1"},                      // bad tolerance
-		{"plan", "-slo-qlen", "5", "-maxiter", "-3"},                  // bad iteration bound
+		{"plan", "-slo-qlen", "5", "-tol", "1e-30"},                   // tolerance needs more than 64 steps
 		{"plan", "-slo-qlen", "5", "-trace", filepath.Join(dir, "x")}, // missing trace file
 		{"plan", "-slo-qlen", "5", "-trace", short},                   // too few samples to fit
 		{"plan", "-slo-qlen", "5", "-idlemult", "0"},                  // explicit zero idle mult
@@ -185,20 +185,24 @@ func TestPlanErrors(t *testing.T) {
 	}
 }
 
+// TestMultiDiag checks a two-class solve writes its diagnostics report.
 func TestMultiDiag(t *testing.T) {
 	diagPath := filepath.Join(t.TempDir(), "multi-diag.json")
-	out, err := runCmd(t, "multi", "-workload", "softdev", "-util", "0.2", "-diag", diagPath)
+	out, err := runCmd(t, "solve", "-workload", "softdev", "-util", "0.2", "-p", "0.25", "-p2", "0.5", "-diag", diagPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "diagnostics") {
-		t.Errorf("multi -diag output missing summary:\n%s", out)
+		t.Errorf("two-class solve -diag output missing summary:\n%s", out)
 	}
 	if _, err := os.Stat(diagPath); err != nil {
 		t.Errorf("diagnostics file not written: %v", err)
 	}
-	if _, err := runCmd(t, "multi", "-scheme", "cyclic"); err == nil {
+	if _, err := runCmd(t, "solve", "-p2", "0.5", "-scheme", "cyclic"); err == nil {
 		t.Error("removed -scheme flag accepted")
+	}
+	if _, err := runCmd(t, "multi"); err == nil {
+		t.Error("removed multi subcommand accepted")
 	}
 }
 
@@ -289,31 +293,40 @@ func TestWorkloadByNameAll(t *testing.T) {
 	}
 }
 
+// TestMultiCommand pins a two-class solve (a second BG priority class via
+// -p2) byte-for-byte: the two-class numbers must not move when the model
+// code is restructured.
 func TestMultiCommand(t *testing.T) {
-	out, err := runCmd(t, "multi", "-workload", "softdev", "-util", "0.2", "-p1", "0.3", "-p2", "0.3")
+	out, err := runCmd(t, "solve", "-workload", "softdev", "-util", "0.2", "-p", "0.3", "-p2", "0.3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Byte-for-byte: the two-class numbers must not move when the model
-	// code is restructured.
-	const want = `workload softdev, p1 0.3 (priority), p2 0.3, buffers 5+5
-fg queue length            0.618874
-fg delayed by bg           0.184415
-class-1 completion         0.747191
-class-2 completion         0.259953
-class-1/2 queue length     0.777505 1.38767
-class-1/2 throughput     0.00747191 0.00259953
+	const want = `workload softdev, fg-util 0.2, p 0.3, buffer 5, p2 0.3, buffer2 5, idle wait 6 ms (per-job)
+fg queue length          0.618874
+fg response time ms       18.5662
+fg delayed by bg         0.184415
+bg completion rate       0.747191
+bg queue length          0.777505
+util fg/bg                    0.2 0.0448315
+p(idle-wait)/p(empty)   0.0604286 0.679143
+bg gen/drop rate             0.01 0.00252809
+class-2 completion       0.259953
+class-2 queue length      1.38767
+bg throughput 1/2      0.00747191 0.00259953
+fg qlen stddev            1.53547
+tail decay sp(R)         0.618437
+fg qlen quantiles    q50=0 q95=4 q99=7 
 `
 	if out != want {
-		t.Errorf("multi output changed:\n got:\n%s\nwant:\n%s", out, want)
+		t.Errorf("two-class solve output changed:\n got:\n%s\nwant:\n%s", out, want)
 	}
 }
 
 func TestMultiErrors(t *testing.T) {
-	if _, err := runCmd(t, "multi", "-p1", "0.8", "-p2", "0.8"); err == nil {
-		t.Error("p1+p2 > 1 accepted")
+	if _, err := runCmd(t, "solve", "-p", "0.8", "-p2", "0.8"); err == nil {
+		t.Error("p+p2 > 1 accepted")
 	}
-	if _, err := runCmd(t, "multi", "-idlemult", "0"); err == nil {
+	if _, err := runCmd(t, "solve", "-p2", "0.3", "-idlemult", "0"); err == nil {
 		t.Error("zero idlemult accepted")
 	}
 }

@@ -201,6 +201,16 @@ type Config struct {
 	DeadlineRate float64
 }
 
+// Resolve applies the zero-value defaults (per-job idle waits, φ = 1,
+// admit-all) and validates the result, returning the resolved config. It is
+// the one rule set for a model: NewModel, CacheKey and the simulator
+// (package sim) all accept exactly the configs it accepts. Errors are
+// *ValidationError wrapping ErrConfig and naming the offending field.
+func (c Config) Resolve() (Config, error) {
+	c = c.withDefaults()
+	return c, c.validate()
+}
+
 func (c Config) withDefaults() Config {
 	if c.IdlePolicy == 0 {
 		c.IdlePolicy = IdleWaitPerJob
@@ -397,13 +407,12 @@ type Model struct {
 
 // NewModel validates cfg and prepares the chain builder.
 func NewModel(cfg Config) (*Model, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, err := cfg.Resolve()
+	if err != nil {
 		return nil, err
 	}
 	svc := cfg.Service
 	if svc == nil && cfg.ServiceMAP == nil {
-		var err error
 		svc, err = phtype.Exponential(cfg.ServiceRate)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
@@ -415,7 +424,6 @@ func NewModel(cfg Config) (*Model, error) {
 	}
 	idle := cfg.IdleWait
 	if idle == nil && cfg.IdleRate > 0 {
-		var err error
 		idle, err = phtype.Exponential(cfg.IdleRate)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrConfig, err)

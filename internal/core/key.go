@@ -100,8 +100,8 @@ func ValidCacheKey(s string) bool {
 // hashConfig writes the tagged canonical encoding of the validated config
 // (defaults applied) into the hash.
 func hashConfig(h hash.Hash, cfg Config) error {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, err := cfg.Resolve()
+	if err != nil {
 		return err
 	}
 	keyMAP(h, keyTagArrival, cfg.Arrival)

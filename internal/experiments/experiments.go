@@ -63,12 +63,6 @@ type Result struct {
 	Tables  []Table
 }
 
-// merge appends other's artifacts to r.
-func (r *Result) merge(other Result) {
-	r.Figures = append(r.Figures, other.Figures...)
-	r.Tables = append(r.Tables, other.Tables...)
-}
-
 // fmtG renders a float compactly for text output.
 func fmtG(v float64) string {
 	return strconv.FormatFloat(v, 'g', 6, 64)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"bgperf/internal/arrival"
@@ -165,7 +166,7 @@ func (s *Suite) loadFigure(id, title, ylabel string, ps []float64, metric func(c
 			YLabel: ylabel,
 		}
 		for pi, p := range sw.ps {
-			if !contains(ps, p) {
+			if !slices.Contains(ps, p) {
 				continue
 			}
 			f.Series = append(f.Series, sw.series(pi, fmt.Sprintf("p=%.1f", p), metric))
@@ -173,15 +174,6 @@ func (s *Suite) loadFigure(id, title, ylabel string, ps []float64, metric func(c
 		return f
 	}
 	return Result{Figures: []Figure{build("a", s.email), build("b", s.soft)}}, nil
-}
-
-func contains(xs []float64, v float64) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Figure1 reproduces the trace-characterization figure: the sample ACF of
@@ -387,7 +379,7 @@ func dependenceFigure(workers int, id, title, ylabel string, metric func(core.Me
 			}
 			for _, proc := range procs {
 				proc := proc
-				if !containsString(group.names, proc.Name) {
+				if !slices.Contains(group.names, proc.Name) {
 					continue
 				}
 				pts := make([]Point, len(group.utils))
@@ -415,15 +407,6 @@ func dependenceFigure(workers int, id, title, ylabel string, metric func(core.Me
 		return Result{}, err
 	}
 	return res, nil
-}
-
-func containsString(xs []string, v string) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Figure11 reproduces the FG queue length under the four arrival processes,

@@ -130,7 +130,7 @@ func (d *Diagnostics) SimRun(c SimCounters) {
 	d.sim.add(c)
 	d.mu.Unlock()
 	expSimRuns.Add(1)
-	expSimEvents.Add(c.total())
+	expSimEvents.Add(c.Events)
 }
 
 // ReplicationDone implements Observer.

@@ -34,7 +34,8 @@ func TestDiagnosticsAggregation(t *testing.T) {
 	d.RSolved(3, 1e-12, 0.9)
 	d.WorkspaceStats(WorkspaceStats{MatrixHits: 4, MatrixMisses: 1, LUHits: 2})
 	d.WorkspaceStats(WorkspaceStats{MatrixHits: 1, VectorMisses: 3})
-	d.SimRun(SimCounters{ArrivalsFG: 100, CompletedFG: 99, DroppedBG: 2})
+	events0 := expSimEvents.Value()
+	d.SimRun(SimCounters{ArrivalsFG: 100, CompletedFG: 99, DroppedBG: 2, Events: 250})
 	d.ReplicationDone(1, 2)
 	d.ReplicationDone(2, 2)
 	d.FitDone(FitDiag{TargetRate: 1, Rate: 1.001})
@@ -55,8 +56,12 @@ func TestDiagnosticsAggregation(t *testing.T) {
 	if r.Workspace.Hits() != 7 || r.Workspace.Misses() != 4 {
 		t.Errorf("workspace = %+v", r.Workspace)
 	}
-	if r.SimRuns != 1 || r.Sim.ArrivalsFG != 100 {
+	if r.SimRuns != 1 || r.Sim.ArrivalsFG != 100 || r.Sim.Events != 250 {
 		t.Errorf("sim = %d runs, %+v", r.SimRuns, r.Sim)
+	}
+	// The expvar mirror takes the simulator's own event count.
+	if got := expSimEvents.Value() - events0; got != 250 {
+		t.Errorf("bgperf.sim_events grew by %d, want 250", got)
 	}
 	if r.ReplicationsDone != 2 || r.ReplicationsTotal != 2 {
 		t.Errorf("replications = %d/%d", r.ReplicationsDone, r.ReplicationsTotal)
@@ -95,7 +100,7 @@ func TestNilDiagnostics(t *testing.T) {
 	o.RIteration(1, 0.5)
 	o.RSolved(1, 1e-12, 0.9)
 	o.WorkspaceStats(WorkspaceStats{MatrixHits: 1})
-	o.SimRun(SimCounters{ArrivalsFG: 1})
+	o.SimRun(SimCounters{ArrivalsFG: 1, Events: 1})
 	o.ReplicationDone(1, 1)
 	o.FitDone(FitDiag{})
 }

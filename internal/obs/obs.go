@@ -102,18 +102,6 @@ type SimCounters struct {
 	Events int64 `json:"events"`
 }
 
-// total returns the "events" figure mirrored to expvar: the simulator's own
-// event count when reported (PR 7+), otherwise the legacy sum of the
-// per-kind counters.
-func (c SimCounters) total() int64 {
-	if c.Events > 0 {
-		return c.Events
-	}
-	return c.ArrivalsFG + c.CompletedFG + c.DelayedFG + c.GeneratedBG +
-		c.AdmittedBG + c.DroppedBG + c.CompletedBG + c.IdleExpirations +
-		c.RenegedBG
-}
-
 // add accumulates o into c.
 func (c *SimCounters) add(o SimCounters) {
 	c.ArrivalsFG += o.ArrivalsFG

@@ -58,7 +58,7 @@ func FuzzPlanFromTrace(f *testing.F) {
 			BGBuffer:    5,
 			IdleRate:    workload.ServiceRatePerMs,
 		}
-		res, err := Maximize(cfg, SLO{QLenFG: 1}, Options{MaxIter: 24})
+		res, err := Maximize(cfg, SLO{QLenFG: 1}, Options{})
 		if err != nil {
 			var verr *core.ValidationError
 			switch {

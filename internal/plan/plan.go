@@ -59,9 +59,11 @@ const (
 	// DefaultTol is the default relative convergence tolerance of the
 	// continuous searches (absolute on p ∈ [0,1], multiplicative on α).
 	DefaultTol = 1e-4
-	// DefaultMaxIter is the default iteration budget of the search. No
-	// search needs more than BisectionSteps, 18 at most at DefaultTol.
-	DefaultMaxIter = 64
+	// MaxSteps bounds the iterations of every accepted search: CheckTol
+	// rejects a tolerance at which BisectionSteps would exceed it (about
+	// 7.5e-19 for α, whose span is the widest). At DefaultTol no search
+	// needs more than 18.
+	MaxSteps = 64
 	// MaxBuffer caps the integer buffer search: X* = MaxBuffer with AtCap
 	// set means the SLO tolerates any buffer the model will realistically
 	// run with.
@@ -225,18 +227,16 @@ func (s SLO) slack(m core.Metrics) float64 {
 }
 
 // Options parameterizes one inverse search. The zero value searches p with
-// the default tolerance and iteration budget, serially and unobserved.
+// the default tolerance, serially and unobserved.
 type Options struct {
 	// Var is the decision variable (default VarBGProb).
 	Var Var
 	// Tol is the convergence tolerance of the continuous searches; 0 means
 	// DefaultTol. The p search stops when the feasible/infeasible bracket is
 	// narrower than Tol; the α search when the bracket ratio is below 1+Tol.
+	// A search never takes more than BisectionSteps(Var, Tol) iterations,
+	// and CheckTol keeps that within MaxSteps.
 	Tol float64
-	// MaxIter bounds the search iterations; 0 means DefaultMaxIter. A
-	// search never takes more than BisectionSteps, so only a smaller budget
-	// stops it early.
-	MaxIter int
 	// Workers bounds the goroutines of the sensitivity-neighborhood
 	// fan-out; <= 0 means all cores. Every solve runs serially.
 	Workers int
@@ -258,10 +258,24 @@ func (o Options) withDefaults() Options {
 	if o.Tol == 0 {
 		o.Tol = DefaultTol
 	}
-	if o.MaxIter == 0 {
-		o.MaxIter = DefaultMaxIter
-	}
 	return o
+}
+
+// CheckTol validates the tolerance tol of a search over v, naming field in
+// the *core.ValidationError it returns: tol must be positive and finite,
+// and coarse enough that bisection's count BisectionSteps(v, tol) stays
+// within MaxSteps, the bound on every search's iterations. X's tolerance is
+// one slot whatever tol says, so only p, α, and φ can fail the second test.
+func CheckTol(v Var, tol float64, field string) error {
+	if !(tol > 0) || math.IsInf(tol, 0) {
+		return core.NewValidationError(core.ErrConfig, field,
+			"tolerance %g must be positive and finite", tol)
+	}
+	if n := BisectionSteps(v, tol); n > MaxSteps {
+		return core.NewValidationError(core.ErrConfig, field,
+			"tolerance %g needs %d search steps for %s, more than %d", tol, n, v, MaxSteps)
+	}
+	return nil
 }
 
 // Neighbor is one point of the sensitivity neighborhood around the frontier:
@@ -287,9 +301,9 @@ type Result struct {
 	// forward solve of this exact point.
 	Value float64 `json:"value"`
 	// AtCap reports that the SLO holds at the most aggressive end of the
-	// domain (p = 1, X = MaxBuffer, the top of the α window, or — for the
-	// downward-searching "mod" variable — ModFactorFloor), so Value is that
-	// cap rather than a constraint frontier and Bracket is 0.
+	// domain (p = 1 − BG2Prob, X = MaxBuffer, the top of the α window, or —
+	// for the downward-searching "mod" variable — ModFactorFloor), so Value
+	// is that cap rather than a constraint frontier and Bracket is 0.
 	AtCap bool `json:"atCap"`
 	// Bracket is the infeasible side of the final search bracket (0 when
 	// AtCap): the smallest evaluated value at which the SLO failed, or for
@@ -298,7 +312,7 @@ type Result struct {
 	Bracket float64 `json:"bracket"`
 	// Iterations counts search steps, one forward solve each: ITP steps
 	// for p, φ, and α, bisection steps for X. It never exceeds
-	// BisectionSteps.
+	// BisectionSteps, and so never MaxSteps.
 	Iterations int `json:"iterations"`
 	// Solves counts every forward solve the search performed, endpoints
 	// and neighborhood included.
@@ -328,6 +342,9 @@ func CacheKey(cfg core.Config, slo SLO, opts Options) (string, error) {
 	if err := validateVar(cfg, opts.Var); err != nil {
 		return "", err
 	}
+	if err := CheckTol(opts.Var, opts.Tol, "Tolerance"); err != nil {
+		return "", err
+	}
 	// The searched variable's base value never reaches a solve, so it is
 	// canonicalized out of the key: plans differing only in the overridden
 	// field share an entry.
@@ -343,7 +360,7 @@ func CacheKey(cfg core.Config, slo SLO, opts Options) (string, error) {
 		norm.ModFactor = 0
 	}
 	return core.CacheKeyExt(norm, core.KeySectionPlan,
-		[]int64{int64(opts.Var), int64(opts.MaxIter)},
+		[]int64{int64(opts.Var)},
 		[]float64{slo.QLenFG, slo.WaitPFG, slo.RespTimeFG, opts.Tol})
 }
 
@@ -395,6 +412,9 @@ func Maximize(cfg core.Config, slo SLO, opts Options) (*Result, error) {
 	if err := validateVar(cfg, opts.Var); err != nil {
 		return nil, err
 	}
+	if err := CheckTol(opts.Var, opts.Tol, "Tolerance"); err != nil {
+		return nil, err
+	}
 	// Validate the base config once, before any solve: the searched field is
 	// overridden per candidate, but every other field must already be sound.
 	if _, err := core.CacheKey(cfg); err != nil {
@@ -422,7 +442,8 @@ func Maximize(cfg core.Config, slo SLO, opts Options) (*Result, error) {
 func (s *searcher) domain() (safe, bold float64) {
 	switch s.opts.Var {
 	case VarBGProb:
-		return 0, 1
+		// A second class's spawn probability leaves 1 − BG2Prob to p.
+		return 0, 1 - s.cfg.BG2Prob
 	case VarBGBuffer:
 		return 0, MaxBuffer
 	case VarModFactor:
@@ -517,8 +538,8 @@ func (s *searcher) at(v float64, m core.Metrics, ok bool) point {
 // keeping one invariant: the safe side of the bracket is feasible and the
 // bold side is infeasible. It evaluates safe (ErrInfeasible if the SLO fails
 // there), then bold (AtCap if the SLO holds there), then steps inside the
-// bracket until it converges, the iteration budget or the bisection count
-// n½ runs out, or no candidate separates the two sides at float resolution.
+// bracket until it converges, the bisection count n½ runs out, or no
+// candidate separates the two sides at float resolution.
 // Capping the loop at n½ steps keeps a bracket that the step's projection
 // left a few ulps above the tolerance from costing one more solve.
 func (s *searcher) search() (*Result, error) {
@@ -541,7 +562,7 @@ func (s *searcher) search() (*Result, error) {
 	prev := point{g: math.NaN()} // the last discarded endpoint, none yet
 	steps := BisectionSteps(s.opts.Var, s.opts.Tol)
 	iters := 0
-	for iters < min(s.opts.MaxIter, steps) && !s.converged(safe.v, bold.v) {
+	for iters < steps && !s.converged(safe.v, bold.v) {
 		next := s.next(safe, bold, prev, steps-iters)
 		if !inside(next, safe.v, bold.v) {
 			if next = s.midpoint(safe.v, bold.v); !inside(next, safe.v, bold.v) {
@@ -652,7 +673,7 @@ func BisectionSteps(v Var, tol float64) int {
 	case n < math.MaxInt32:
 		return int(n)
 	default:
-		return math.MaxInt32 // tol is not positive and finite: only MaxIter stops
+		return math.MaxInt32 // tol is not positive and finite; CheckTol rejects it
 	}
 }
 

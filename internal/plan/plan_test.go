@@ -290,7 +290,7 @@ func TestCacheKeyNormalizesSearchedVariable(t *testing.T) {
 	if k4 == k1 {
 		t.Fatal("different decision variables must key differently")
 	}
-	k5, err := CacheKey(cfg, slo, Options{Var: VarBGProb, Tol: DefaultTol, MaxIter: DefaultMaxIter})
+	k5, err := CacheKey(cfg, slo, Options{Var: VarBGProb, Tol: DefaultTol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,5 +317,55 @@ func TestMaximizeVarPreconditions(t *testing.T) {
 	var verr *core.ValidationError
 	if !errors.As(err, &verr) {
 		t.Fatalf("want ValidationError for buffer search without idle law, got %v", err)
+	}
+}
+
+// TestCheckTolBoundsSteps pins the tolerance rule that bounds every search
+// at MaxSteps iterations: a tolerance passes exactly when bisection's count
+// over its variable's span stays within MaxSteps, so the same tolerance can
+// pass for p and fail for α, whose span is wider, while X ignores it.
+func TestCheckTolBoundsSteps(t *testing.T) {
+	cases := []struct {
+		v    Var
+		tol  float64
+		pass bool
+	}{
+		{VarBGProb, DefaultTol, true},
+		{VarBGProb, 1e-19, true}, // ⌈log₂ 1e19⌉ = 64
+		{VarIdleRate, 1e-19, false},
+		{VarIdleRate, 7.4e-19, false}, // 65 steps over ln(1.024e6)
+		{VarIdleRate, 7.6e-19, true},  // 64
+		{VarModFactor, 1e-20, false},
+		{VarBGBuffer, 1e-300, true},
+		{VarBGProb, 0, false},
+		{VarBGProb, -1, false},
+		{VarBGProb, math.Inf(1), false},
+		{VarBGProb, math.NaN(), false},
+	}
+	for _, c := range cases {
+		err := CheckTol(c.v, c.tol, "tolerance")
+		if (err == nil) != c.pass {
+			t.Errorf("CheckTol(%s, %g) = %v, want pass %v", c.v, c.tol, err, c.pass)
+		}
+		if c.pass && c.tol > 0 && BisectionSteps(c.v, c.tol) > MaxSteps {
+			t.Errorf("CheckTol passed %s at %g, which needs %d steps", c.v, c.tol, BisectionSteps(c.v, c.tol))
+		}
+		var verr *core.ValidationError
+		if err != nil && (!errors.As(err, &verr) || verr.Field != "tolerance") {
+			t.Errorf("CheckTol(%s, %g) = %v, want a ValidationError on tolerance", c.v, c.tol, err)
+		}
+	}
+	// Maximize and CacheKey apply the rule themselves, naming the facade's
+	// option.
+	cfg := baseConfig(t)
+	opts := Options{Var: VarIdleRate, Tol: 1e-19}
+	for name, err := range map[string]error{
+		"Maximize": func() error { _, err := Maximize(cfg, SLO{QLenFG: 2}, opts); return err }(),
+		"CacheKey": func() error { _, err := CacheKey(cfg, SLO{QLenFG: 2}, opts); return err }(),
+	} {
+		var verr *core.ValidationError
+		if !errors.As(err, &verr) || verr.Field != "Tolerance" {
+			t.Errorf("%s with a too-fine tolerance: %v, want a ValidationError on Tolerance", name, err)
+		}
 	}
 }

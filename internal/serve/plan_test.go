@@ -174,6 +174,21 @@ func TestOptimizeErrors(t *testing.T) {
 			wantField:  "tolerance",
 		},
 		{
+			// At 1e-19 bisection needs 64 steps over p's span but 67 over
+			// α's wider one, past plan.MaxSteps.
+			name:       "tolerance too fine for alpha",
+			body:       `{"workload":"email","utilization":0.2,"slo":{"qlenFG":10},"var":"alpha","tolerance":1e-19}`,
+			wantStatus: http.StatusBadRequest,
+			wantField:  "tolerance",
+			wantInMsg:  "more than 64",
+		},
+		{
+			name:       "removed maxIter field",
+			body:       `{"workload":"email","utilization":0.2,"slo":{"qlenFG":10},"maxIter":64}`,
+			wantStatus: http.StatusBadRequest,
+			wantField:  "body",
+		},
+		{
 			name: "infeasible SLO",
 			// The Email workload's queue length at 20% load is far above 1e-6
 			// even with background work disabled.
@@ -299,6 +314,29 @@ func TestPlanFromTraceScenarioParams(t *testing.T) {
 	}
 }
 
+// TestPlanFromTraceTwoClass checks the class-2 query parameters reach the
+// planned model: bg2Prob adds the second class and caps p's domain at
+// 1 − bg2Prob, and bg2Buffer sets that class's buffer.
+func TestPlanFromTraceTwoClass(t *testing.T) {
+	s := newTest(t, Options{})
+	rec := postJSON(t, s.Handler(),
+		"/v1/plan-from-trace?qlenFG=1e9&utilization=0.3&var=p&bg2Prob=0.25&bg2Buffer=0", emailNDJSON(t, 2000))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("plan-from-trace: %d %s", rec.Code, rec.Body)
+	}
+	var res PlanPointResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Plan == nil || !res.Plan.AtCap || res.Plan.Value != 0.75 {
+		t.Fatalf("loose SLO should cap at p = 0.75: %s", rec.Body)
+	}
+	// A class-2 buffer of 0 drops every class-2 job.
+	if bg2 := res.Plan.Metrics.BG2; bg2 == nil || bg2.Comp != 0 || bg2.QLen != 0 {
+		t.Fatalf("class-2 metrics %+v, want a class dropping all its work", bg2)
+	}
+}
+
 func TestPlanFromTraceErrors(t *testing.T) {
 	s := newTest(t, Options{})
 	cases := []struct {
@@ -325,6 +363,13 @@ func TestPlanFromTraceErrors(t *testing.T) {
 		{
 			name:       "unknown query parameter",
 			path:       "/v1/plan-from-trace?qlenFG=10&bogus=1",
+			body:       emailNDJSON(t, 2000),
+			wantStatus: http.StatusBadRequest,
+			wantInMsg:  "unknown query parameter",
+		},
+		{
+			name:       "removed maxIter parameter",
+			path:       "/v1/plan-from-trace?qlenFG=10&maxIter=64",
 			body:       emailNDJSON(t, 2000),
 			wantStatus: http.StatusBadRequest,
 			wantInMsg:  "unknown query parameter",

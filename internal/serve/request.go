@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"math"
-
 	"bgperf/internal/arrival"
 	"bgperf/internal/core"
 	"bgperf/internal/phtype"
@@ -55,6 +53,14 @@ type SolveRequest struct {
 	// background job abandons at rate δ. Required with (and only valid
 	// with) bgAdmit "deadline".
 	DeadlineRate float64 `json:"deadlineRate,omitempty"`
+	// BG2Prob is the spawn probability of a second, lower-priority
+	// background class (the paper's Sec. 6 multiple priority levels); 0
+	// means no second class. bgProb + bg2Prob must not exceed 1, and the
+	// second class needs bgAdmit "all".
+	BG2Prob float64 `json:"bg2Prob,omitempty"`
+	// BG2Buffer is the second class's buffer capacity; nil means 5. It is
+	// ignored when bg2Prob is 0.
+	BG2Buffer *int `json:"bg2Buffer,omitempty"`
 }
 
 // SweepRequest is the JSON body of POST /v1/sweep: a batch of independent
@@ -79,11 +85,9 @@ type OptimizeRequest struct {
 	// Var names the decision variable: p (default), x, alpha, or mod.
 	Var string `json:"var,omitempty"`
 	// Tolerance is the convergence tolerance of the continuous searches;
-	// 0 means the planner default (1e-4).
+	// 0 means the planner default (1e-4). A tolerance so fine that
+	// bisection would need more than plan.MaxSteps steps is rejected.
 	Tolerance float64 `json:"tolerance,omitempty"`
-	// MaxIter bounds the search iterations; 0 means the planner default
-	// (64). No search needs more than bisection's count (at most 18).
-	MaxIter int `json:"maxIter,omitempty"`
 }
 
 // PlanInputs resolves the request into the planner's inputs: the validated
@@ -110,15 +114,12 @@ func (r OptimizeRequest) planOptions() (plan.Options, error) {
 	if err != nil {
 		return plan.Options{}, err
 	}
-	if r.Tolerance < 0 || math.IsNaN(r.Tolerance) || math.IsInf(r.Tolerance, 0) {
-		return plan.Options{}, core.NewValidationError(core.ErrConfig, "tolerance",
-			"tolerance %g must be positive and finite", r.Tolerance)
+	if r.Tolerance != 0 {
+		if err := plan.CheckTol(v, r.Tolerance, "tolerance"); err != nil {
+			return plan.Options{}, err
+		}
 	}
-	if r.MaxIter < 0 {
-		return plan.Options{}, core.NewValidationError(core.ErrConfig, "maxIter",
-			"maxIter %d must be positive", r.MaxIter)
-	}
-	return plan.Options{Var: v, Tol: r.Tolerance, MaxIter: r.MaxIter}, nil
+	return plan.Options{Var: v, Tol: r.Tolerance}, nil
 }
 
 // Config resolves the request into a validated core.Config, applying the
@@ -172,6 +173,16 @@ func (r SolveRequest) ConfigWithArrival(m *arrival.MAP) (core.Config, error) {
 	if r.BGBuffer != nil {
 		buffer = *r.BGBuffer
 	}
+	// The second class's buffer counts only when the class exists, so every
+	// single-class request resolves to the same config (and key) whatever
+	// bg2Buffer says.
+	buffer2 := 0
+	if r.BG2Prob != 0 {
+		buffer2 = 5
+		if r.BG2Buffer != nil {
+			buffer2 = *r.BG2Buffer
+		}
+	}
 	idleMult := r.IdleMult
 	if idleMult == 0 {
 		idleMult = 1
@@ -204,6 +215,8 @@ func (r SolveRequest) ConfigWithArrival(m *arrival.MAP) (core.Config, error) {
 		Arrival:      m,
 		BGProb:       r.BGProb,
 		BGBuffer:     buffer,
+		BG2Prob:      r.BG2Prob,
+		BG2Buffer:    buffer2,
 		IdlePolicy:   policy,
 		ModFactor:    r.ModFactor,
 		BGAdmit:      admit,

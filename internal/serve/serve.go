@@ -724,6 +724,18 @@ func (s *Server) handlePlanFromTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, res)
 }
 
+// planTraceParams names the /v1/plan-from-trace query parameters: the JSON
+// names of OptimizeRequest's fields, with the SLO's bounds in place of
+// "slo" and without "workload", since the trace replaces it.
+var planTraceParams = map[string]bool{
+	"var": true, "qlenFG": true, "waitPFG": true, "respTimeFG": true,
+	"tolerance": true, "utilization": true,
+	"bgProb": true, "bgBuffer": true, "idleMult": true, "policy": true,
+	"serviceSCV": true, "idleSCV": true,
+	"modFactor": true, "bgAdmit": true, "fgThreshold": true, "deadlineRate": true,
+	"bg2Prob": true, "bg2Buffer": true,
+}
+
 // planTraceQuery maps the /v1/plan-from-trace query string onto an
 // OptimizeRequest (the body is reserved for the trace itself). Unknown
 // parameters are rejected, mirroring DisallowUnknownFields on the JSON
@@ -743,15 +755,8 @@ func planTraceQuery(q url.Values) (OptimizeRequest, error) {
 		*dst = f
 		return nil
 	}
-	known := map[string]bool{
-		"var": true, "qlenFG": true, "waitPFG": true, "respTimeFG": true,
-		"tolerance": true, "maxIter": true, "utilization": true,
-		"bgProb": true, "bgBuffer": true, "idleMult": true, "policy": true,
-		"serviceSCV": true, "idleSCV": true,
-		"modFactor": true, "bgAdmit": true, "fgThreshold": true, "deadlineRate": true,
-	}
 	for name := range q {
-		if !known[name] {
+		if !planTraceParams[name] {
 			return req, core.NewValidationError(core.ErrConfig, name,
 				"unknown query parameter %q", name)
 		}
@@ -774,6 +779,7 @@ func planTraceQuery(q url.Values) (OptimizeRequest, error) {
 		{"idleSCV", &req.IdleSCV},
 		{"modFactor", &req.ModFactor},
 		{"deadlineRate", &req.DeadlineRate},
+		{"bg2Prob", &req.BG2Prob},
 	} {
 		if err := getF(p.name, p.dst); err != nil {
 			return req, err
@@ -783,9 +789,9 @@ func planTraceQuery(q url.Values) (OptimizeRequest, error) {
 		name string
 		set  func(int)
 	}{
-		{"maxIter", func(n int) { req.MaxIter = n }},
 		{"bgBuffer", func(n int) { req.BGBuffer = &n }},
 		{"fgThreshold", func(n int) { req.FGThreshold = n }},
+		{"bg2Buffer", func(n int) { req.BG2Buffer = &n }},
 	} {
 		v := q.Get(p.name)
 		if v == "" {

@@ -79,11 +79,15 @@ func TestRingReuseAcrossLongRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(horizon float64) int {
-		var rs runState
-		rs.setup(Config{
+		cfg, err := Config{
 			Arrival: m, ServiceRate: 1, BGProb: 0.6, BGBuffer: 4, IdleRate: 1,
 			Seed: 11, MeasureTime: horizon, Batches: 20,
-		}.withDefaults())
+		}.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rs runState
+		rs.setup(cfg)
 		for rs.now < rs.measEnd {
 			next, kind := nextEvent(rs.nextArr, rs.serviceEnd, rs.idleExpiry, inf)
 			rs.now = next

@@ -127,75 +127,60 @@ type Config struct {
 	Batches int
 }
 
-func (c Config) withDefaults() Config {
-	if c.IdlePolicy == 0 {
-		c.IdlePolicy = core.IdleWaitPerJob
+// model projects the queueing fields onto core.Config, whose rules they
+// share.
+func (c Config) model() core.Config {
+	return core.Config{
+		Arrival:      c.Arrival,
+		ServiceRate:  c.ServiceRate,
+		Service:      c.Service,
+		ServiceMAP:   c.ServiceMAP,
+		BGProb:       c.BGProb,
+		BGBuffer:     c.BGBuffer,
+		BG2Prob:      c.BG2Prob,
+		BG2Buffer:    c.BG2Buffer,
+		IdleRate:     c.IdleRate,
+		IdleWait:     c.IdleWait,
+		IdlePolicy:   c.IdlePolicy,
+		ModFactor:    c.ModFactor,
+		BGAdmit:      c.BGAdmit,
+		FGThreshold:  c.FGThreshold,
+		DeadlineRate: c.DeadlineRate,
 	}
+}
+
+// resolve applies the defaults and validates c. The queueing fields go
+// through core.Config.Resolve, so the simulator accepts exactly the models
+// the solver does; only the simulator's own fields (the idle-wait
+// distribution, the windows, the batch count) are checked here. Errors are
+// *core.ValidationError wrapping ErrConfig.
+func (c Config) resolve() (Config, error) {
+	m, err := c.model().Resolve()
+	if err != nil {
+		var verr *core.ValidationError
+		if !errors.As(err, &verr) {
+			return c, err
+		}
+		return c, core.NewValidationError(ErrConfig, verr.Field, "%s", verr.Reason)
+	}
+	c.IdlePolicy, c.ModFactor, c.BGAdmit = m.IdlePolicy, m.ModFactor, m.BGAdmit
 	if c.IdleDist == 0 {
 		c.IdleDist = IdleExponential
-	}
-	if c.ModFactor == 0 {
-		c.ModFactor = 1
-	}
-	if c.BGAdmit == 0 {
-		c.BGAdmit = core.AdmitAll
 	}
 	if c.Batches == 0 {
 		c.Batches = 20
 	}
-	return c
-}
-
-func (c Config) validate() error {
 	switch {
-	case c.Arrival == nil:
-		return core.NewValidationError(ErrConfig, "Arrival", "nil arrival process")
-	case c.Service == nil && c.ServiceMAP == nil && c.ServiceRate <= 0:
-		return core.NewValidationError(ErrConfig, "ServiceRate", "service rate %g must be positive", c.ServiceRate)
-	case c.Service != nil && (c.ServiceRate != 0 || c.ServiceMAP != nil):
-		return core.NewValidationError(ErrConfig, "Service", "set exactly one of ServiceRate, Service, ServiceMAP")
-	case c.ServiceMAP != nil && c.ServiceRate != 0:
-		return core.NewValidationError(ErrConfig, "ServiceMAP", "set exactly one of ServiceRate, Service, ServiceMAP")
-	case c.BGProb < 0 || c.BGProb > 1:
-		return core.NewValidationError(ErrConfig, "BGProb", "BG probability %g outside [0,1]", c.BGProb)
-	case c.BGBuffer < 0:
-		return core.NewValidationError(ErrConfig, "BGBuffer", "negative BG buffer")
-	case c.BG2Prob < 0 || c.BG2Prob > 1:
-		return core.NewValidationError(ErrConfig, "BG2Prob", "class-2 BG probability %g outside [0,1]", c.BG2Prob)
-	case c.BGProb+c.BG2Prob > 1:
-		return core.NewValidationError(ErrConfig, "BG2Prob", "BG probabilities %g + %g exceed 1", c.BGProb, c.BG2Prob)
-	case c.BG2Buffer < 0:
-		return core.NewValidationError(ErrConfig, "BG2Buffer", "negative class-2 BG buffer")
-	case c.IdleWait != nil && c.IdleRate != 0:
-		return core.NewValidationError(ErrConfig, "IdleWait", "set either IdleRate or IdleWait, not both")
 	case c.IdleWait != nil && c.IdleDist == IdleDeterministic:
-		return core.NewValidationError(ErrConfig, "IdleDist", "IdleWait and IdleDeterministic are incompatible")
-	case (c.BGBuffer > 0 || c.BG2Buffer > 0) && c.IdleRate <= 0 && c.IdleWait == nil:
-		return core.NewValidationError(ErrConfig, "IdleRate", "idle rate %g must be positive with a BG buffer", c.IdleRate)
-	case c.IdlePolicy != core.IdleWaitPerJob && c.IdlePolicy != core.IdleWaitPerPeriod:
-		return core.NewValidationError(ErrConfig, "IdlePolicy", "unknown idle-wait policy %d", int(c.IdlePolicy))
-	case !(c.ModFactor > 0 && c.ModFactor <= 1):
-		return core.NewValidationError(ErrConfig, "ModFactor", "modulation factor %g must lie in (0,1]", c.ModFactor)
-	case c.BGAdmit != core.AdmitAll && c.BGAdmit != core.AdmitUtilThreshold && c.BGAdmit != core.AdmitDeadline:
-		return core.NewValidationError(ErrConfig, "BGAdmit", "unknown BG admission policy %d", int(c.BGAdmit))
-	case c.FGThreshold < 0:
-		return core.NewValidationError(ErrConfig, "FGThreshold", "FG threshold %d must be nonnegative", c.FGThreshold)
-	case c.FGThreshold != 0 && c.BGAdmit != core.AdmitUtilThreshold:
-		return core.NewValidationError(ErrConfig, "FGThreshold", "FG threshold requires the util-threshold admission policy")
-	case c.BGAdmit == core.AdmitDeadline && c.DeadlineRate <= 0:
-		return core.NewValidationError(ErrConfig, "DeadlineRate", "deadline rate %g must be positive with the deadline admission policy", c.DeadlineRate)
-	case c.BGAdmit != core.AdmitDeadline && c.DeadlineRate != 0:
-		return core.NewValidationError(ErrConfig, "DeadlineRate", "deadline rate requires the deadline admission policy")
-	case c.BG2Prob > 0 && c.BGAdmit != core.AdmitAll:
-		return core.NewValidationError(ErrConfig, "BG2Prob", "a second BG class is not supported with the %v admission policy", c.BGAdmit)
+		return c, core.NewValidationError(ErrConfig, "IdleDist", "IdleWait and IdleDeterministic are incompatible")
 	case c.MeasureTime <= 0:
-		return core.NewValidationError(ErrConfig, "MeasureTime", "measurement window %g must be positive", c.MeasureTime)
+		return c, core.NewValidationError(ErrConfig, "MeasureTime", "measurement window %g must be positive", c.MeasureTime)
 	case c.WarmupTime < 0:
-		return core.NewValidationError(ErrConfig, "WarmupTime", "negative warmup")
+		return c, core.NewValidationError(ErrConfig, "WarmupTime", "negative warmup")
 	case c.Batches < 2:
-		return core.NewValidationError(ErrConfig, "Batches", "need at least 2 batches")
+		return c, core.NewValidationError(ErrConfig, "Batches", "need at least 2 batches")
 	}
-	return nil
+	return c, nil
 }
 
 // Counters are raw event counts over the measurement window. The BG counts
@@ -559,8 +544,8 @@ func Run(cfg Config) (*Result, error) {
 // a context.Canceled-wrapped error within microseconds rather than finishing
 // the measurement window.
 func RunOpts(ctx context.Context, cfg Config, o obs.Observer) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, err := cfg.resolve()
+	if err != nil {
 		return nil, err
 	}
 	// Every random stream of the run gets its own SplitMix64-derived seed

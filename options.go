@@ -27,7 +27,6 @@ type callOpts struct {
 	reps     int
 	planVar  plan.Var
 	tol      float64
-	maxIter  int
 
 	// err defers option-argument validation to the call site, so invalid
 	// options surface as ordinary errors rather than panics.
@@ -90,7 +89,6 @@ func (c callOpts) planOptions() plan.Options {
 	return plan.Options{
 		Var:      c.planVar,
 		Tol:      c.tol,
-		MaxIter:  c.maxIter,
 		Workers:  c.workers,
 		Observer: c.observer,
 		Ctx:      c.ctx,
@@ -113,9 +111,13 @@ func WithPlanVar(v PlanVar) Option {
 }
 
 // WithTolerance sets the convergence tolerance of the continuous inverse
-// searches (default plan.DefaultTol = 1e-4: absolute on p, multiplicative on
-// the idle rate). Non-positive or non-finite tolerances yield a
-// ValidationError from the call. Forward entry points accept and ignore it.
+// searches (default plan.DefaultTol = 1e-4: absolute on p and φ,
+// multiplicative on the idle rate), and with it the search's iteration
+// bound: bisection's count for the searched variable, at most 18 at the
+// default. Non-positive or non-finite tolerances yield a ValidationError
+// from the call, and so does, from the planners, a tolerance fine enough
+// to need more than plan.MaxSteps (64) steps. Forward entry points accept
+// and ignore it.
 func WithTolerance(tol float64) Option {
 	return func(c *callOpts) {
 		if !(tol > 0) || math.IsInf(tol, 0) {
@@ -124,20 +126,6 @@ func WithTolerance(tol float64) Option {
 			return
 		}
 		c.tol = tol
-	}
-}
-
-// WithMaxIter bounds the iterations of the inverse searches (default 64;
-// no search needs more than bisection's count, at most 18). n < 1 yields a
-// ValidationError from the call. Forward entry points accept and ignore it.
-func WithMaxIter(n int) Option {
-	return func(c *callOpts) {
-		if n < 1 {
-			c.err = core.NewValidationError(core.ErrConfig, "MaxIter",
-				"need at least 1 iteration, got %d", n)
-			return
-		}
-		c.maxIter = n
 	}
 }
 

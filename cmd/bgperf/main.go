@@ -40,7 +40,9 @@ import (
 	"bgperf/internal/check"
 	"bgperf/internal/core"
 	"bgperf/internal/obs"
+	"bgperf/internal/plan"
 	"bgperf/internal/serve"
+	"bgperf/internal/sim"
 	"bgperf/internal/trace"
 	"bgperf/internal/workload"
 )
@@ -152,24 +154,6 @@ func (f modelFlags) build() (core.Config, error) {
 	return req.Config()
 }
 
-// writeDiag writes the machine-readable diagnostics report to path and the
-// human-readable convergence summary to out.
-func writeDiag(path string, d *obs.Diagnostics, out io.Writer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := d.FlushJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "diagnostics (JSON report in %s):\n", path)
-	return d.WriteSummary(out)
-}
-
 func printMetrics(out io.Writer, m core.Metrics) {
 	fmt.Fprintf(out, "fg queue length      %12.6g\n", m.QLenFG)
 	fmt.Fprintf(out, "fg response time ms  %12.6g\n", m.RespTimeFG)
@@ -233,10 +217,7 @@ func cmdSolve(args []string, out io.Writer) error {
 		if err := enc.Encode(sol.Metrics); err != nil {
 			return err
 		}
-		if diag != nil {
-			return writeDiag(*diagPath, diag, out)
-		}
-		return nil
+		return diag.WriteReport(*diagPath, out)
 	}
 	idleMean := 0.0
 	if cfg.IdleWait != nil {
@@ -252,17 +233,15 @@ func cmdSolve(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "idle wait %.3g ms (%s)\n", idleMean, cfg.IdlePolicy)
 	printMetrics(out, sol.Metrics)
 	printTails(out, sol)
-	if diag != nil {
-		return writeDiag(*diagPath, diag, out)
-	}
-	return nil
+	return diag.WriteReport(*diagPath, out)
 }
 
 // cmdPlan runs the inverse solver: given a foreground SLO, it searches the
-// largest sustainable value of one background knob (p, X, or α). With
-// -trace it first fits an MMPP(2) to an uploaded NDJSON trace, mirroring
-// the daemon's /v1/plan-from-trace; the -json report is byte-identical to
-// the daemon's /v1/optimize "plan" object for the same parameters.
+// largest sustainable value of one background knob (p, X, or α). The flags
+// become the daemon's serve.OptimizeRequest, resolved and validated by the
+// same methods /v1/optimize and, with -trace (an MMPP(2) fitted to an
+// NDJSON trace), /v1/plan-from-trace use; the -json report is
+// byte-identical to the daemon's "plan" object for the same parameters.
 func cmdPlan(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("plan", flag.ContinueOnError)
 	mf := addModelFlags(fs)
@@ -280,54 +259,43 @@ func cmdPlan(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	pv, err := bgperf.ParsePlanVar(*varName)
-	if err != nil {
-		return err
-	}
 	if *workers < 0 {
 		return fmt.Errorf("workers must be >= 0")
 	}
-	req, err := mf.request()
+	sreq, err := mf.request()
 	if err != nil {
 		return err
 	}
-	var diag *obs.Diagnostics
-	opts := []bgperf.Option{
-		bgperf.WithPlanVar(pv),
-		bgperf.WithWorkers(*workers),
+	req := serve.OptimizeRequest{
+		SolveRequest: sreq,
+		SLO:          plan.SLO{QLenFG: *sloQLen, WaitPFG: *sloWaitP, RespTimeFG: *sloResp},
+		Var:          *varName,
+		Tolerance:    *tol,
 	}
-	if *tol != 0 {
-		opts = append(opts, bgperf.WithTolerance(*tol))
+	var (
+		cfg  core.Config
+		slo  plan.SLO
+		opts plan.Options
+		fit  *serve.FitSummary
+	)
+	if *tracePath == "" {
+		cfg, slo, opts, err = req.PlanInputs()
+	} else {
+		var tr *trace.Trace
+		if tr, err = readTrace(*tracePath); err == nil {
+			cfg, slo, opts, fit, err = req.TracePlanInputs(tr)
+		}
 	}
-	if *diagPath != "" {
-		diag = obs.NewDiagnostics()
-		opts = append(opts, bgperf.WithObserver(diag))
-	}
-	var cfg core.Config
-	var fitted *arrival.MAP
-	var fitSamples int
-	if *tracePath != "" {
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			return err
-		}
-		tr, err := bgperf.ReadTraceNDJSON(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-		if fitted, err = bgperf.FitWorkloadFromTrace(tr); err != nil {
-			return err
-		}
-		fitSamples = len(tr.Interarrivals)
-		if cfg, err = req.ConfigWithArrival(fitted); err != nil {
-			return err
-		}
-	} else if cfg, err = req.Config(); err != nil {
+	if err != nil {
 		return err
 	}
-	slo := bgperf.SLO{QLenFG: *sloQLen, WaitPFG: *sloWaitP, RespTimeFG: *sloResp}
-	res, err := bgperf.Plan(cfg, slo, opts...)
+	opts.Workers = *workers
+	var diag *obs.Diagnostics
+	if *diagPath != "" {
+		diag = obs.NewDiagnostics()
+		opts.Observer = diag
+	}
+	res, err := plan.Maximize(cfg, slo, opts)
 	if err != nil {
 		return err
 	}
@@ -337,17 +305,14 @@ func cmdPlan(args []string, out io.Writer) error {
 		if err := enc.Encode(res); err != nil {
 			return err
 		}
-		if diag != nil {
-			return writeDiag(*diagPath, diag, out)
-		}
-		return nil
+		return diag.WriteReport(*diagPath, out)
 	}
-	if fitted != nil {
+	if fit != nil {
 		fmt.Fprintf(out, "fitted MMPP2 from %d trace samples: rate=%.6g scv=%.6g acf1=%.6g\n",
-			fitSamples, fitted.Rate(), fitted.SCV(), fitted.ACF(1))
+			fit.Samples, fit.Rate, fit.SCV, fit.ACF1)
 	}
 	frontier := "max sustainable"
-	if pv == bgperf.PlanModFactor {
+	if opts.Var == plan.VarModFactor {
 		// The φ search runs downward: its frontier is the deepest feasible
 		// modulation, and the bracket (if any) lies below it.
 		frontier = "min sustainable"
@@ -373,10 +338,17 @@ func cmdPlan(args []string, out io.Writer) error {
 				res.Var, nb.Value, status, nb.Metrics.QLenFG, nb.Metrics.WaitPFG, nb.Metrics.RespTimeFG)
 		}
 	}
-	if diag != nil {
-		return writeDiag(*diagPath, diag, out)
+	return diag.WriteReport(*diagPath, out)
+}
+
+// readTrace reads the NDJSON trace file at path.
+func readTrace(path string) (*trace.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	defer f.Close()
+	return trace.ReadNDJSON(f)
 }
 
 func cmdSim(args []string, out io.Writer) error {
@@ -404,7 +376,7 @@ func cmdSim(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	simCfg := check.SimConfig(cfg, *seed, *simTime/20, *simTime)
+	simCfg := sim.FromModel(cfg, *seed, *simTime/20, *simTime)
 	if *detIdle {
 		simCfg.IdleDist = bgperf.IdleDeterministic
 	}
@@ -434,10 +406,7 @@ func cmdSim(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "qlen 95%% half-width  %12.6g (fg) %.6g (bg)\n", agg.QLenFGHalf, agg.QLenBGHalf)
 			fmt.Fprintf(out, "resp 95%% half-width  %12.6g ms (fg)\n", agg.RespTimeFGHalf)
 		}
-		if diag != nil {
-			return writeDiag(*diagPath, diag, out)
-		}
-		return nil
+		return diag.WriteReport(*diagPath, out)
 	}
 	res, err := bgperf.Simulate(simCfg, simOpts...)
 	if err != nil {
@@ -455,10 +424,7 @@ func cmdSim(args []string, out io.Writer) error {
 		printMetrics(out, res.Metrics)
 		fmt.Fprintf(out, "qlen 95%% half-width  %12.6g (fg) %.6g (bg)\n", res.QLenFGHalf, res.QLenBGHalf)
 	}
-	if diag != nil {
-		return writeDiag(*diagPath, diag, out)
-	}
-	return nil
+	return diag.WriteReport(*diagPath, out)
 }
 
 func cmdTrace(args []string, out io.Writer) error {
@@ -647,10 +613,8 @@ func cmdCheck(args []string, out io.Writer) error {
 				d.Case, d.Metric, d.Analytic, d.Sim, d.Diff, d.Allowed)
 		}
 	}
-	if diag != nil {
-		if err := writeDiag(*diagPath, diag, out); err != nil {
-			return err
-		}
+	if err := diag.WriteReport(*diagPath, out); err != nil {
+		return err
 	}
 	if !rep.OK() {
 		return fmt.Errorf("conformance check failed: %d violations, %d disagreements",

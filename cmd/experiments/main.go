@@ -85,30 +85,7 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("%s: %w", g.Name, err)
 		}
 	}
-	if diag != nil {
-		if err := writeDiag(*diagPath, diag, out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeDiag writes the JSON diagnostics report to path and a human-readable
-// convergence summary to out.
-func writeDiag(path string, d *obs.Diagnostics, out io.Writer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := d.FlushJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "diagnostics (JSON report in %s):\n", path)
-	return d.WriteSummary(out)
+	return diag.WriteReport(*diagPath, out)
 }
 
 // emit writes a result either to stdout or as per-artifact files.

@@ -57,13 +57,18 @@ func (v Violation) String() string {
 		v.Check, v.Case, v.Detail, v.Got, v.Want, v.Diff)
 }
 
-// violations collects failures with a shared case label.
+// violations collects the failures of the checks run through it, labelled
+// with the current case, and counts every check as it runs, so a report's
+// invariant count is the number of checks that actually ran.
 type violations struct {
 	caseName string
 	list     []Violation
+	checks   int
 }
 
+// add checks that got is within tol of want.
 func (vs *violations) add(check, detail string, got, want, tol float64) {
+	vs.checks++
 	diff := math.Abs(got - want)
 	if diff <= tol && !math.IsNaN(got) && !math.IsNaN(want) {
 		return
@@ -74,19 +79,19 @@ func (vs *violations) add(check, detail string, got, want, tol float64) {
 	})
 }
 
+// assert checks that ok holds.
 func (vs *violations) assert(check, detail string, ok bool) {
+	vs.checks++
 	if ok {
 		return
 	}
 	vs.list = append(vs.list, Violation{Check: check, Case: vs.caseName, Detail: detail})
 }
 
-// SolvedPoint verifies every structural invariant of one analytic solution
-// and returns the violations (nil when the point conforms). The identities
-// hold exactly in the model; tolerances only absorb floating-point round-off
-// from the matrix-geometric solve.
-func SolvedPoint(caseName string, model *core.Model, sol *core.Solution) []Violation {
-	vs := &violations{caseName: caseName}
+// solvedPoint verifies every structural invariant of one analytic solution
+// of the current case. The identities hold exactly in the model; tolerances
+// only absorb floating-point round-off from the matrix-geometric solve.
+func (vs *violations) solvedPoint(model *core.Model, sol *core.Solution) {
 	m := sol.Metrics
 	cfg := model.Config()
 
@@ -180,6 +185,4 @@ func SolvedPoint(caseName string, model *core.Model, sol *core.Solution) []Viola
 	vs.assert("bg-buffer-bound",
 		fmt.Sprintf("QLenBG = %g must not exceed buffer+1 = %d", m.QLenBG, cfg.BGBuffer+1),
 		m.QLenBG <= float64(cfg.BGBuffer)+1+invariantTol)
-
-	return vs.list
 }

@@ -2,7 +2,6 @@ package check
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -12,8 +11,57 @@ import (
 // TestOracles pins every exact-oracle suite green: the M/M/1 collapse against
 // refqueue, the p=0 pruning invariance, and the monotonicity sweeps.
 func TestOracles(t *testing.T) {
-	for _, v := range Oracles() {
+	vs := &violations{}
+	vs.oracles()
+	vs.scenarioOracles()
+	for _, v := range vs.list {
 		t.Errorf("oracle violation: %s", v)
+	}
+}
+
+// TestRunCountsEveryCheck pins the number of checks each suite runs, as
+// counted where they run: 25 per solved point, 90 exact-oracle and 45
+// scenario-oracle checks, and 7 per plan-inversion case, so `bgperf check
+// -n 64 -seed 1` reports 64·25 + 90 + 45 + 16·7 = 1847 invariant checks.
+func TestRunCountsEveryCheck(t *testing.T) {
+	c := NewGenerator(1).Next()
+	model, err := core.NewModel(c.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := model.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, suite := range []struct {
+		name string
+		run  func(*violations)
+		want int
+	}{
+		{"solvedPoint", func(vs *violations) { vs.solvedPoint(model, sol) }, 25},
+		{"oracles", (*violations).oracles, 90},
+		{"scenarioOracles", (*violations).scenarioOracles, 45},
+		{"planInversion", func(vs *violations) {
+			if err := vs.planInversion(context.Background(), 2, 1); err != nil {
+				t.Fatal(err)
+			}
+		}, 2 * 7},
+	} {
+		vs := &violations{}
+		suite.run(vs)
+		if vs.checks != suite.want {
+			t.Errorf("%s ran %d checks, want %d", suite.name, vs.checks, suite.want)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	rep, err := Run(context.Background(), Options{N: 64, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Invariants != 1847 {
+		t.Errorf("Run counted %d invariant checks, want 1847", rep.Invariants)
 	}
 }
 
@@ -50,15 +98,15 @@ func TestPlanInversion(t *testing.T) {
 	if !testing.Short() {
 		n = planCases
 	}
-	vs, inv, err := PlanInversion(context.Background(), n, 1)
-	if err != nil {
+	vs := &violations{}
+	if err := vs.planInversion(context.Background(), n, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range vs {
+	for _, v := range vs.list {
 		t.Errorf("plan-inversion violation: %s", v)
 	}
-	if inv < n*5 {
-		t.Errorf("plan-inversion performed %d invariant checks, want >= %d", inv, n*5)
+	if vs.checks != n*7 {
+		t.Errorf("plan-inversion performed %d invariant checks, want %d", vs.checks, n*7)
 	}
 }
 
@@ -67,7 +115,7 @@ func TestPlanInversion(t *testing.T) {
 func TestPlanInversionCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := PlanInversion(ctx, 4, 1); err == nil {
+	if err := (&violations{}).planInversion(ctx, 4, 1); err == nil {
 		t.Fatal("cancelled oracle returned no error")
 	}
 }
@@ -124,16 +172,19 @@ func TestSolvedPointDetectsViolations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := SolvedPoint(c.Name, model, sol); len(vs) != 0 {
-		t.Fatalf("clean solution flagged: %v", vs)
+	clean := &violations{caseName: c.Name}
+	clean.solvedPoint(model, sol)
+	if len(clean.list) != 0 {
+		t.Fatalf("clean solution flagged: %v", clean.list)
 	}
 	sol.Metrics.QLenFG += 0.5
-	vs := SolvedPoint(c.Name, model, sol)
-	if len(vs) == 0 {
+	vs := &violations{caseName: c.Name}
+	vs.solvedPoint(model, sol)
+	if len(vs.list) == 0 {
 		t.Fatal("corrupted QLenFG not detected")
 	}
 	var found bool
-	for _, v := range vs {
+	for _, v := range vs.list {
 		if v.Check == "littles-law-fg" {
 			found = true
 		}
@@ -150,43 +201,5 @@ func TestRunCancellation(t *testing.T) {
 	cancel()
 	if _, err := Run(ctx, Options{N: 4, Seed: 1}); err == nil {
 		t.Fatal("cancelled run returned no error")
-	}
-}
-
-// TestSimConfigCopiesEveryModelField sets every core.Config field to a
-// distinct non-zero value and requires SimConfig to carry each one into the
-// same-named sim.Config field, so a field added to the model cannot be
-// silently dropped on the way to the simulator.
-func TestSimConfigCopiesEveryModelField(t *testing.T) {
-	var cfg core.Config
-	cv := reflect.ValueOf(&cfg).Elem()
-	for i := 0; i < cv.NumField(); i++ {
-		f := cv.Field(i)
-		switch f.Kind() {
-		case reflect.Pointer:
-			f.Set(reflect.New(f.Type().Elem()))
-		case reflect.Float64:
-			f.SetFloat(float64(i) + 0.5)
-		case reflect.Int:
-			f.SetInt(int64(i) + 1)
-		default:
-			t.Fatalf("core.Config.%s: no distinct value for kind %s", cv.Type().Field(i).Name, f.Kind())
-		}
-	}
-	sc := SimConfig(cfg, 7, 11, 13)
-	sv := reflect.ValueOf(sc)
-	for i := 0; i < cv.NumField(); i++ {
-		name := cv.Type().Field(i).Name
-		got := sv.FieldByName(name)
-		if !got.IsValid() {
-			t.Errorf("sim.Config has no field %s", name)
-			continue
-		}
-		if got.Interface() != cv.Field(i).Interface() {
-			t.Errorf("sim.Config.%s = %v, want %v", name, got.Interface(), cv.Field(i).Interface())
-		}
-	}
-	if sc.Seed != 7 || sc.WarmupTime != 11 || sc.MeasureTime != 13 {
-		t.Errorf("run fields = (%d, %g, %g), want (7, 11, 13)", sc.Seed, sc.WarmupTime, sc.MeasureTime)
 	}
 }

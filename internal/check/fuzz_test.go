@@ -82,11 +82,13 @@ func FuzzSolveVsSim(f *testing.F) {
 		if err != nil {
 			t.Fatalf("solve: %v", err)
 		}
-		for _, v := range SolvedPoint("fuzz", model, sol) {
+		vs := &violations{caseName: "fuzz"}
+		vs.solvedPoint(model, sol)
+		for _, v := range vs.list {
 			t.Errorf("invariant violation: %s", v)
 		}
 
-		simCfg := SimConfig(cfg, 1, 500, 6000)
+		simCfg := sim.FromModel(cfg, 1, 500, 6000)
 		agg, err := sim.RunReplicationsOpts(nil, simCfg, 2, 2, nil)
 		if err != nil {
 			t.Fatalf("sim: %v", err)

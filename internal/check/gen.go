@@ -7,7 +7,6 @@ import (
 
 	"bgperf/internal/arrival"
 	"bgperf/internal/core"
-	"bgperf/internal/sim"
 )
 
 // Case is one generated conformance configuration: the analytic config plus
@@ -135,32 +134,5 @@ func (g *Generator) Next() Case {
 		Name: fmt.Sprintf("case%03d[%s,util=%.2f,p=%.2f,X=%d,a=%.2f,%s%s]",
 			idx, kind, util, p, x, alpha, policy, extras),
 		Cfg: cfg,
-	}
-}
-
-// SimConfig translates an analytic configuration into the equivalent
-// simulation configuration with the given seed and measurement windows. It
-// copies every core.Config model field, so it is the one translation the
-// conformance harness and the bgperf sim command share.
-func SimConfig(cfg core.Config, seed int64, warmup, measure float64) sim.Config {
-	return sim.Config{
-		Arrival:      cfg.Arrival,
-		ServiceRate:  cfg.ServiceRate,
-		Service:      cfg.Service,
-		ServiceMAP:   cfg.ServiceMAP,
-		BGProb:       cfg.BGProb,
-		BGBuffer:     cfg.BGBuffer,
-		BG2Prob:      cfg.BG2Prob,
-		BG2Buffer:    cfg.BG2Buffer,
-		IdleRate:     cfg.IdleRate,
-		IdleWait:     cfg.IdleWait,
-		IdlePolicy:   cfg.IdlePolicy,
-		ModFactor:    cfg.ModFactor,
-		BGAdmit:      cfg.BGAdmit,
-		FGThreshold:  cfg.FGThreshold,
-		DeadlineRate: cfg.DeadlineRate,
-		Seed:         seed,
-		WarmupTime:   warmup,
-		MeasureTime:  measure,
 	}
 }

@@ -56,62 +56,64 @@ func metricsPairs(a, b core.Metrics) []struct {
 	}
 }
 
-// ModFactorDegenerate checks the Marin–Mitrani-style degenerate collapse:
+// modFactorDegenerate checks the Marin–Mitrani-style degenerate collapse:
 // φ = 1 with blind admission IS the baseline model — the same chain, the
 // same cache key, and (because the modulated kernels alias the unmodulated
 // ones at φ = 1) bit-for-bit the same solution.
-func ModFactorDegenerate() []Violation {
+func (vs *violations) modFactorDegenerate() {
+	vs.caseName = "mod-degenerate[phi=1]"
 	base, err := modOracleConfig()
 	if err != nil {
-		return []Violation{{Check: "modfactor-degenerate", Detail: err.Error()}}
+		vs.assert("modfactor-degenerate", err.Error(), false)
+		return
 	}
-	vs := &violations{caseName: "mod-degenerate[phi=1]"}
-	_, ref, err := solveMetrics(base)
+	ref, err := solveConfig(base)
 	if err != nil {
-		return []Violation{{Check: "modfactor-degenerate", Detail: err.Error()}}
+		vs.assert("modfactor-degenerate", err.Error(), false)
+		return
 	}
 	mod := base
 	mod.ModFactor = 1
 	mod.BGAdmit = core.AdmitAll
-	_, sol, err := solveMetrics(mod)
+	sol, err := solveConfig(mod)
 	if err != nil {
 		vs.assert("modfactor-degenerate", fmt.Sprintf("solve failed: %v", err), false)
-		return vs.list
+		return
 	}
-	for _, p := range metricsPairs(sol.Metrics, ref.Metrics) {
+	for _, p := range metricsPairs(sol, ref) {
 		vs.add("modfactor-degenerate", p.name+" must be bit-identical to the baseline at φ=1",
 			p.got, p.ref, 0)
 	}
 	kBase, err := core.CacheKey(base)
 	if err != nil {
 		vs.assert("modfactor-degenerate", fmt.Sprintf("baseline cache key: %v", err), false)
-		return vs.list
+		return
 	}
 	kMod, err := core.CacheKey(mod)
 	if err != nil {
 		vs.assert("modfactor-degenerate", fmt.Sprintf("modulated cache key: %v", err), false)
-		return vs.list
+		return
 	}
 	vs.assert("modfactor-degenerate-key",
 		fmt.Sprintf("cache key must be identical at φ=1: %s vs %s", kMod, kBase), kMod == kBase)
-	return vs.list
 }
 
-// ModFactorMonotonicity checks the comparative statics of modulation:
+// modFactorMonotonicity checks the comparative statics of modulation:
 // slowing the server while BG work is present (smaller φ) can only lengthen
 // the FG queue.
-func ModFactorMonotonicity() []Violation {
+func (vs *violations) modFactorMonotonicity() {
+	vs.caseName = "mod-monotone[phi-sweep]"
 	base, err := modOracleConfig()
 	if err != nil {
-		return []Violation{{Check: "modfactor-monotone", Detail: err.Error()}}
+		vs.assert("modfactor-monotone", err.Error(), false)
+		return
 	}
-	vs := &violations{caseName: "mod-monotone[phi-sweep]"}
 	phis := []float64{0.5, 0.65, 0.8, 0.9, 1}
 	prevQ := -1.0
 	for i, phi := range phis {
 		cfg := base
 		cfg.ModFactor = phi
-		_, sol, err := solveMetrics(cfg)
+		sol, err := solveConfig(cfg)
 		if err != nil {
 			vs.assert("modfactor-monotone", fmt.Sprintf("solve failed at φ=%g: %v", phi, err), false)
 			break
@@ -123,54 +125,55 @@ func ModFactorMonotonicity() []Violation {
 		}
 		prevQ = sol.QLenFG
 	}
-	return vs.list
 }
 
-// UtilThresholdDegenerate checks that a util-threshold policy whose K
+// utilThresholdDegenerate checks that a util-threshold policy whose K
 // exceeds any reachable FG queue position within the modelled levels is
 // blind admission: with a huge threshold nothing is ever denied, and the
 // solved metrics collapse to AdmitAll at solver precision.
-func UtilThresholdDegenerate() []Violation {
+func (vs *violations) utilThresholdDegenerate() {
+	vs.caseName = "util-degenerate[K=40]"
 	base, err := modOracleConfig()
 	if err != nil {
-		return []Violation{{Check: "util-degenerate", Detail: err.Error()}}
+		vs.assert("util-degenerate", err.Error(), false)
+		return
 	}
-	vs := &violations{caseName: "util-degenerate[K=40]"}
-	_, ref, err := solveMetrics(base)
+	ref, err := solveConfig(base)
 	if err != nil {
-		return []Violation{{Check: "util-degenerate", Detail: err.Error()}}
+		vs.assert("util-degenerate", err.Error(), false)
+		return
 	}
 	huge := base
 	huge.BGAdmit = core.AdmitUtilThreshold
 	huge.FGThreshold = 40
-	_, sol, err := solveMetrics(huge)
+	sol, err := solveConfig(huge)
 	if err != nil {
 		vs.assert("util-degenerate", fmt.Sprintf("solve failed: %v", err), false)
-		return vs.list
+		return
 	}
-	for _, p := range metricsPairs(sol.Metrics, ref.Metrics) {
+	for _, p := range metricsPairs(sol, ref) {
 		vs.add("util-degenerate", p.name+" must match blind admission under a never-binding threshold",
 			p.got, p.ref, oracleTol)
 	}
-	return vs.list
 }
 
-// DeadlineMonotonicity checks the comparative statics of reneging: a faster
+// deadlineMonotonicity checks the comparative statics of reneging: a faster
 // deadline clock can only raise the miss fraction and lower the BG
 // completion throughput.
-func DeadlineMonotonicity() []Violation {
+func (vs *violations) deadlineMonotonicity() {
+	vs.caseName = "deadline-monotone[delta-sweep]"
 	base, err := modOracleConfig()
 	if err != nil {
-		return []Violation{{Check: "deadline-monotone", Detail: err.Error()}}
+		vs.assert("deadline-monotone", err.Error(), false)
+		return
 	}
-	vs := &violations{caseName: "deadline-monotone[delta-sweep]"}
 	deltas := []float64{0.1, 0.3, 1, 3}
 	prevMiss, prevTput := -1.0, -1.0
 	for i, delta := range deltas {
 		cfg := base
 		cfg.BGAdmit = core.AdmitDeadline
 		cfg.DeadlineRate = delta
-		_, sol, err := solveMetrics(cfg)
+		sol, err := solveConfig(cfg)
 		if err != nil {
 			vs.assert("deadline-monotone", fmt.Sprintf("solve failed at δ=%g: %v", delta, err), false)
 			break
@@ -188,15 +191,12 @@ func DeadlineMonotonicity() []Violation {
 		}
 		prevMiss, prevTput = sol.DeadlineMissBG, sol.ThroughputBG
 	}
-	return vs.list
 }
 
-// ScenarioOracles runs every scenario-expansion oracle suite.
-func ScenarioOracles() []Violation {
-	var out []Violation
-	out = append(out, ModFactorDegenerate()...)
-	out = append(out, ModFactorMonotonicity()...)
-	out = append(out, UtilThresholdDegenerate()...)
-	out = append(out, DeadlineMonotonicity()...)
-	return out
+// scenarioOracles runs every scenario-expansion oracle suite.
+func (vs *violations) scenarioOracles() {
+	vs.modFactorDegenerate()
+	vs.modFactorMonotonicity()
+	vs.utilThresholdDegenerate()
+	vs.deadlineMonotonicity()
 }

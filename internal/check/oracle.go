@@ -12,25 +12,12 @@ import (
 // identities are exact; the tolerance absorbs solver round-off only.
 const oracleTol = 1e-9
 
-func solveMetrics(cfg core.Config) (*core.Model, *core.Solution, error) {
-	model, err := core.NewModel(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	sol, err := model.Solve()
-	if err != nil {
-		return nil, nil, err
-	}
-	return model, sol, nil
-}
-
-// MM1Collapse checks the exact-oracle limit: with p = 0 the model is the
+// mm1Collapse checks the exact-oracle limit: with p = 0 the model is the
 // arrival process feeding an M/1 server, and with Poisson or equal-rate-MMPP
 // arrivals (where the modulation is irrelevant) it must reproduce refqueue's
 // M/M/1 closed forms to solver precision — queue length ρ/(1−ρ), response
 // time 1/(µ−λ), empty probability 1−ρ.
-func MM1Collapse() []Violation {
-	var out []Violation
+func (vs *violations) mm1Collapse() {
 	for _, rho := range []float64{0.2, 0.5, 0.8} {
 		for _, mk := range []struct {
 			kind  string
@@ -40,32 +27,27 @@ func MM1Collapse() []Violation {
 			// Equal per-state rates: the phase process modulates nothing.
 			{"equal-rate-mmpp2", func() (*arrival.MAP, error) { return arrival.MMPP2(0.3, 0.7, rho, rho) }},
 		} {
+			vs.caseName = fmt.Sprintf("mm1[%s,rho=%.1f]", mk.kind, rho)
 			arr, err := mk.build()
 			if err != nil {
-				out = append(out, Violation{Check: "mm1-collapse", Case: mk.kind,
-					Detail: fmt.Sprintf("building arrival process: %v", err)})
+				vs.assert("mm1-collapse", fmt.Sprintf("building arrival process: %v", err), false)
 				continue
 			}
-			vs := &violations{caseName: fmt.Sprintf("mm1[%s,rho=%.1f]", mk.kind, rho)}
-			_, sol, err := solveMetrics(core.Config{Arrival: arr, ServiceRate: 1})
+			m, err := solveConfig(core.Config{Arrival: arr, ServiceRate: 1})
 			if err != nil {
 				vs.assert("mm1-collapse", fmt.Sprintf("solve failed: %v", err), false)
-				out = append(out, vs.list...)
 				continue
 			}
 			wantQ, err := refqueue.MM1QueueLength(rho)
 			if err != nil {
 				vs.assert("mm1-collapse", fmt.Sprintf("refqueue: %v", err), false)
-				out = append(out, vs.list...)
 				continue
 			}
 			wantW, err := refqueue.MM1Wait(rho, 1)
 			if err != nil {
 				vs.assert("mm1-collapse", fmt.Sprintf("refqueue: %v", err), false)
-				out = append(out, vs.list...)
 				continue
 			}
-			m := sol.Metrics
 			vs.add("mm1-qlen", "QLenFG must match the M/M/1 closed form ρ/(1−ρ)", m.QLenFG, wantQ, oracleTol)
 			// MM1Wait is the queueing wait W_q; the response time adds the
 			// mean service time 1/µ = 1.
@@ -79,26 +61,27 @@ func MM1Collapse() []Violation {
 			}{{"WaitPFG", m.WaitPFG}, {"QLenBG", m.QLenBG}, {"UtilBG", m.UtilBG}, {"ProbIdleWait", m.ProbIdleWait}} {
 				vs.add("mm1-no-bg", z.name+" must be exactly 0 with no BG work", z.v, 0, 0)
 			}
-			out = append(out, vs.list...)
 		}
 	}
-	return out
 }
 
-// PZeroPruning checks that p → 0 prunes the background dimension exactly:
+// pZeroPruning checks that p → 0 prunes the background dimension exactly:
 // for a bursty (genuinely modulated) MMPP the solved metrics must be
 // bit-stable against every BG parameter — buffer size, idle rate, idle
 // policy — because no BG job is ever generated. This is the MMPP/M/1
 // collapse for arrival processes refqueue has no closed form for.
-func PZeroPruning() []Violation {
+func (vs *violations) pZeroPruning() {
+	vs.caseName = "pzero"
 	arr, err := arrival.MMPP2(0.11, 0.23, 0.9, 0.1)
 	if err != nil {
-		return []Violation{{Check: "pzero-pruning", Detail: err.Error()}}
+		vs.assert("pzero-pruning", err.Error(), false)
+		return
 	}
 	base := core.Config{Arrival: arr, ServiceRate: 1, BGProb: 0, BGBuffer: 0}
-	_, ref, err := solveMetrics(base)
+	ref, err := solveConfig(base)
 	if err != nil {
-		return []Violation{{Check: "pzero-pruning", Detail: err.Error()}}
+		vs.assert("pzero-pruning", err.Error(), false)
+		return
 	}
 	variants := []struct {
 		name string
@@ -108,13 +91,11 @@ func PZeroPruning() []Violation {
 		{"X=3,a=2,per-period", core.Config{Arrival: arr, ServiceRate: 1, BGProb: 0, BGBuffer: 3,
 			IdleRate: 2, IdlePolicy: core.IdleWaitPerPeriod}},
 	}
-	var out []Violation
 	for _, v := range variants {
-		vs := &violations{caseName: "pzero[" + v.name + "]"}
-		_, sol, err := solveMetrics(v.cfg)
+		vs.caseName = "pzero[" + v.name + "]"
+		sol, err := solveConfig(v.cfg)
 		if err != nil {
 			vs.assert("pzero-pruning", fmt.Sprintf("solve failed: %v", err), false)
-			out = append(out, vs.list...)
 			continue
 		}
 		pairs := []struct {
@@ -133,33 +114,31 @@ func PZeroPruning() []Violation {
 		}
 		vs.add("pzero-compBG", "CompBG must be exactly 1 at p=0", sol.CompBG, 1, 0)
 		vs.add("pzero-qlenBG", "QLenBG must be exactly 0 at p=0", sol.QLenBG, 0, 0)
-		out = append(out, vs.list...)
 	}
-	return out
 }
 
-// Monotonicity checks the model's comparative statics: raising the BG spawn
+// monotonicity checks the model's comparative statics: raising the BG spawn
 // probability p can only lengthen the FG queue and lower the BG completion
 // fraction (same drain capacity, more offered BG work), and enlarging the
 // buffer X can only raise the completion fraction. The checks allow a
 // round-off slack of 1e-9 per step.
-func Monotonicity() []Violation {
+func (vs *violations) monotonicity() {
+	vs.caseName = "mono"
 	arr, err := arrival.MMPP2(0.2, 0.3, 0.8, 0.2)
-	if err != nil {
-		return []Violation{{Check: "monotonicity", Detail: err.Error()}}
+	if err == nil {
+		arr, err = arr.WithRate(0.5)
 	}
-	arr, err = arr.WithRate(0.5)
 	if err != nil {
-		return []Violation{{Check: "monotonicity", Detail: err.Error()}}
+		vs.assert("monotonicity", err.Error(), false)
+		return
 	}
-	var out []Violation
 
 	// Sweep p at fixed X.
 	ps := []float64{0, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9}
-	vs := &violations{caseName: "mono-p[X=5,a=1]"}
+	vs.caseName = "mono-p[X=5,a=1]"
 	var prevQ, prevC float64
 	for i, p := range ps {
-		_, sol, err := solveMetrics(core.Config{Arrival: arr, ServiceRate: 1,
+		sol, err := solveConfig(core.Config{Arrival: arr, ServiceRate: 1,
 			BGProb: p, BGBuffer: 5, IdleRate: 1})
 		if err != nil {
 			vs.assert("monotonicity", fmt.Sprintf("solve failed at p=%g: %v", p, err), false)
@@ -175,13 +154,12 @@ func Monotonicity() []Violation {
 		}
 		prevQ, prevC = sol.QLenFG, sol.CompBG
 	}
-	out = append(out, vs.list...)
 
 	// Sweep X at fixed p.
-	vs = &violations{caseName: "mono-X[p=0.3,a=1]"}
+	vs.caseName = "mono-X[p=0.3,a=1]"
 	prevC = -1
 	for x := 0; x <= 8; x++ {
-		_, sol, err := solveMetrics(core.Config{Arrival: arr, ServiceRate: 1,
+		sol, err := solveConfig(core.Config{Arrival: arr, ServiceRate: 1,
 			BGProb: 0.3, BGBuffer: x, IdleRate: 1})
 		if err != nil {
 			vs.assert("monotonicity", fmt.Sprintf("solve failed at X=%d: %v", x, err), false)
@@ -194,15 +172,25 @@ func Monotonicity() []Violation {
 		}
 		prevC = sol.CompBG
 	}
-	out = append(out, vs.list...)
-	return out
 }
 
-// Oracles runs every exact-oracle suite and returns the combined violations.
-func Oracles() []Violation {
-	var out []Violation
-	out = append(out, MM1Collapse()...)
-	out = append(out, PZeroPruning()...)
-	out = append(out, Monotonicity()...)
-	return out
+// oracles runs every exact-oracle suite.
+func (vs *violations) oracles() {
+	vs.mm1Collapse()
+	vs.pZeroPruning()
+	vs.monotonicity()
+}
+
+// solveConfig forward-solves one configuration serially (the same path the
+// planner's evaluations take).
+func solveConfig(cfg core.Config) (core.Metrics, error) {
+	model, err := core.NewModel(cfg)
+	if err != nil {
+		return core.Metrics{}, err
+	}
+	sol, err := model.Solve()
+	if err != nil {
+		return core.Metrics{}, err
+	}
+	return sol.Metrics, nil
 }

@@ -21,7 +21,7 @@ const planSlack = 2 * plan.DefaultTol
 // rather than mirrors -n.
 const planCases = 16
 
-// PlanInversion cross-checks the inverse solver (internal/plan) against the
+// planInversion cross-checks the inverse solver (internal/plan) against the
 // forward solver on generated configurations — the round-trip oracle behind
 // `bgperf check`. For each case it forward-solves the generated point, sets
 // the SLO exactly at that point's QLenFG, and verifies the planner's
@@ -42,27 +42,21 @@ const planCases = 16
 //
 // The decision variable cycles p → X → α → φ across cases, so every search
 // mode is exercised each run. At most planCases cases are checked (n
-// permitting). It returns the violations and the number of invariant checks
-// performed; the error reports harness-level failures (canceled context, a
+// permitting). The error reports harness-level failures (canceled context, a
 // generated config the forward solver rejects), not oracle verdicts.
-func PlanInversion(ctx context.Context, n int, seed int64) ([]Violation, int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (vs *violations) planInversion(ctx context.Context, n int, seed int64) error {
 	if n > planCases {
 		n = planCases
 	}
 	gen := NewGenerator(seed)
 	vars := []plan.Var{plan.VarBGProb, plan.VarBGBuffer, plan.VarIdleRate, plan.VarModFactor}
-	var list []Violation
-	invariants := 0
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, invariants, err
+			return err
 		}
 		c := gen.Next()
 		v := vars[i%len(vars)]
-		vs := &violations{caseName: fmt.Sprintf("plan[%s]-%s", v, c.Name)}
+		vs.caseName = fmt.Sprintf("plan[%s]-%s", v, c.Name)
 
 		// The p/X/α searches rely on the BASELINE comparative statics
 		// (QLenFG monotone in each variable's aggressive direction), which
@@ -87,17 +81,15 @@ func PlanInversion(ctx context.Context, n int, seed int64) ([]Violation, int, er
 		genVal := generatedValue(c.Cfg, v)
 		base, err := solveConfig(c.Cfg)
 		if err != nil {
-			return nil, invariants, fmt.Errorf("check: plan oracle forward solve %s: %w", c.Name, err)
+			return fmt.Errorf("check: plan oracle forward solve %s: %w", c.Name, err)
 		}
 		slo := plan.SLO{QLenFG: base.QLenFG}
 		opts := plan.Options{Var: v, Ctx: ctx}
 
 		res, err := plan.Maximize(c.Cfg, slo, opts)
-		invariants++
+		vs.assert("plan-feasible",
+			fmt.Sprintf("plan with the SLO at its own forward solution must succeed, got: %v", err), err == nil)
 		if err != nil {
-			vs.assert("plan-feasible",
-				fmt.Sprintf("plan with the SLO at its own forward solution must succeed, got: %v", err), false)
-			list = append(list, vs.list...)
 			continue
 		}
 
@@ -105,7 +97,6 @@ func PlanInversion(ctx context.Context, n int, seed int64) ([]Violation, int, er
 		// cannot land on its infeasible side (beyond the convergence
 		// bracket) — below it for the maximum-seeking variables, above it
 		// for the downward φ search.
-		invariants++
 		if v == plan.VarModFactor {
 			vs.assert("plan-covers-feasible",
 				fmt.Sprintf("frontier %s = %g must not be above the known-feasible %g",
@@ -118,7 +109,6 @@ func PlanInversion(ctx context.Context, n int, seed int64) ([]Violation, int, er
 				res.Value >= feasibleFloor(v, genVal))
 		}
 
-		invariants++
 		steps := plan.BisectionSteps(v, 0)
 		vs.assert("plan-iterations-bounded",
 			fmt.Sprintf("search took %d iterations, bisection takes %d", res.Iterations, steps),
@@ -128,9 +118,8 @@ func PlanInversion(ctx context.Context, n int, seed int64) ([]Violation, int, er
 		// solver must reproduce the reported metrics and satisfy the SLO.
 		front, err := solveConfig(withPlanVar(c.Cfg, v, res.Value))
 		if err != nil {
-			return nil, invariants, fmt.Errorf("check: plan oracle frontier solve %s: %w", vs.caseName, err)
+			return fmt.Errorf("check: plan oracle frontier solve %s: %w", vs.caseName, err)
 		}
-		invariants += 2
 		vs.add("plan-frontier-metrics", "re-solving the frontier must reproduce the reported QLenFG",
 			front.QLenFG, res.Metrics.QLenFG, invariantTol)
 		vs.assert("plan-slo-holds",
@@ -141,13 +130,12 @@ func PlanInversion(ctx context.Context, n int, seed int64) ([]Violation, int, er
 		// The bracket is the nearest value the search proved infeasible —
 		// above the frontier for the maximum searches, below it for φ; an
 		// at-cap result proved nothing infeasible and must carry no bracket.
-		invariants++
 		if res.AtCap {
 			vs.add("plan-bracket-atcap", "an at-cap result must carry no bracket", res.Bracket, 0, 0)
 		} else if v == plan.VarModFactor {
 			brk, ok, err := resolveModBracket(c.Cfg, slo, res.Bracket)
 			if err != nil {
-				return nil, invariants, fmt.Errorf("check: plan oracle bracket solve %s: %w", vs.caseName, err)
+				return fmt.Errorf("check: plan oracle bracket solve %s: %w", vs.caseName, err)
 			}
 			vs.assert("plan-bracket-violates",
 				fmt.Sprintf("SLO (QLenFG <= %g) must be violated at the bracket %s = %g (got QLenFG %g)",
@@ -156,7 +144,7 @@ func PlanInversion(ctx context.Context, n int, seed int64) ([]Violation, int, er
 		} else {
 			brk, err := solveConfig(withPlanVar(c.Cfg, v, res.Bracket))
 			if err != nil {
-				return nil, invariants, fmt.Errorf("check: plan oracle bracket solve %s: %w", vs.caseName, err)
+				return fmt.Errorf("check: plan oracle bracket solve %s: %w", vs.caseName, err)
 			}
 			vs.assert("plan-bracket-violates",
 				fmt.Sprintf("SLO (QLenFG <= %g) must be violated at the bracket %s = %g (got QLenFG %g)",
@@ -177,18 +165,15 @@ func PlanInversion(ctx context.Context, n int, seed int64) ([]Violation, int, er
 		}
 		floor, err := solveConfig(zero)
 		if err != nil {
-			return nil, invariants, fmt.Errorf("check: plan oracle floor solve %s: %w", c.Name, err)
+			return fmt.Errorf("check: plan oracle floor solve %s: %w", c.Name, err)
 		}
 		_, err = plan.Maximize(c.Cfg, plan.SLO{QLenFG: floor.QLenFG / 2}, opts)
-		invariants++
 		vs.assert("plan-infeasible-typed",
 			fmt.Sprintf("an unreachable SLO (QLenFG <= %g, floor %g) must return ErrInfeasible, got: %v",
 				floor.QLenFG/2, floor.QLenFG, err),
 			err != nil && errors.Is(err, plan.ErrInfeasible))
-
-		list = append(list, vs.list...)
 	}
-	return list, invariants, nil
+	return nil
 }
 
 // generatedValue reads the decision variable's value out of a generated
@@ -248,18 +233,4 @@ func feasibleFloor(v plan.Var, genVal float64) float64 {
 	default:
 		return genVal - planSlack
 	}
-}
-
-// solveConfig forward-solves one configuration serially (the same path the
-// planner's evaluations take).
-func solveConfig(cfg core.Config) (core.Metrics, error) {
-	model, err := core.NewModel(cfg)
-	if err != nil {
-		return core.Metrics{}, err
-	}
-	sol, err := model.Solve()
-	if err != nil {
-		return core.Metrics{}, err
-	}
-	return sol.Metrics, nil
 }

@@ -133,28 +133,17 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	rep := &Report{Seed: opts.Seed}
 
-	rep.Violations = append(rep.Violations, Oracles()...)
-	// Count oracle checks: MM1Collapse runs 9 adds per config over 6
-	// configs, PZeroPruning 7 per variant over 2, Monotonicity the sweeps.
-	// Exact bookkeeping matters less than a nonzero denominator for the
-	// summary; tally what the suites actually inspected.
-	rep.Invariants += 6*9 + 2*7 + (len([]float64{0, 0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.9})-1)*2 + 8
-
-	rep.Violations = append(rep.Violations, ScenarioOracles()...)
-	// ScenarioOracles: 16 degenerate φ=1 identities (15 metrics + key), a
-	// 5-point φ sweep (4 steps), 15 huge-K identities, and a 4-point δ sweep
-	// (4 positivity + 3·2 monotone steps).
-	rep.Invariants += 16 + 4 + 15 + 4 + 6
-
+	// Every check runs through vs, which collects the violations and counts
+	// the checks as they run.
+	vs := &violations{}
+	vs.oracles()
+	vs.scenarioOracles()
 	// Plan-inversion oracle: the inverse solver must round-trip against the
 	// forward solver on its own case stream (seed offset keeps it independent
 	// of the sim comparison stream below).
-	pvs, pinv, err := PlanInversion(ctx, opts.N, opts.Seed+planSeedOffset)
-	if err != nil {
+	if err := vs.planInversion(ctx, opts.N, opts.Seed+planSeedOffset); err != nil {
 		return nil, err
 	}
-	rep.Violations = append(rep.Violations, pvs...)
-	rep.Invariants += pinv
 
 	gen := NewGenerator(opts.Seed)
 	for i := 0; i < opts.N; i++ {
@@ -170,13 +159,12 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("check: solving %s: %w", c.Name, err)
 		}
-		vs := SolvedPoint(c.Name, model, sol)
-		rep.Violations = append(rep.Violations, vs...)
-		rep.Invariants += 26 // checks per solved point in SolvedPoint
+		vs.caseName = c.Name
+		vs.solvedPoint(model, sol)
 
 		// Independent simulation: give every case its own seed region far
 		// from the others so replication streams never overlap.
-		simCfg := SimConfig(c.Cfg, opts.Seed+int64(i+1)*1_000_003, warmupTime, measureTime)
+		simCfg := sim.FromModel(c.Cfg, opts.Seed+int64(i+1)*1_000_003, warmupTime, measureTime)
 		agg, err := sim.RunReplicationsOpts(ctx, simCfg, opts.Reps, opts.Workers, opts.Observer)
 		if err != nil {
 			return nil, fmt.Errorf("check: simulating %s: %w", c.Name, err)
@@ -200,6 +188,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		}
 	}
 	rep.Cases = opts.N
+	rep.Violations, rep.Invariants = vs.list, vs.checks
 	return rep, nil
 }
 

@@ -83,7 +83,7 @@ func runSweep(name string, m *arrival.MAP, utils, ps []float64, workers int, o o
 		if err != nil {
 			return fmt.Errorf("experiments: %s sweep: %w", name, err)
 		}
-		met, err := solveMetricsObs(scaled, p, core.IdleWaitPerJob, workload.ServiceRatePerMs, o)
+		met, err := solveMetrics(paperConfig(scaled, p), o)
 		if err != nil {
 			return fmt.Errorf("experiments: %s util %g p %g: %w", name, util, p, err)
 		}
@@ -96,22 +96,22 @@ func runSweep(name string, m *arrival.MAP, utils, ps []float64, workers int, o o
 	return s, nil
 }
 
-// solveMetrics solves one configuration with the paper defaults (buffer 5,
-// idle rate = idleRate).
-func solveMetrics(m *arrival.MAP, p float64, policy core.IdleWaitPolicy, idleRate float64) (core.Metrics, error) {
-	return solveMetricsObs(m, p, policy, idleRate, nil)
-}
-
-// solveMetricsObs is solveMetrics reporting to an optional observer.
-func solveMetricsObs(m *arrival.MAP, p float64, policy core.IdleWaitPolicy, idleRate float64, o obs.Observer) (core.Metrics, error) {
-	model, err := core.NewModel(core.Config{
+// paperConfig is the paper's model at one point: exponential 6 ms service,
+// buffer 5, and a per-job idle wait with the mean service time as its mean.
+func paperConfig(m *arrival.MAP, p float64) core.Config {
+	return core.Config{
 		Arrival:     m,
 		ServiceRate: workload.ServiceRatePerMs,
 		BGProb:      p,
 		BGBuffer:    5,
-		IdleRate:    idleRate,
-		IdlePolicy:  policy,
-	})
+		IdleRate:    workload.ServiceRatePerMs,
+		IdlePolicy:  core.IdleWaitPerJob,
+	}
+}
+
+// solveMetrics solves cfg, reporting to o when it is non-nil.
+func solveMetrics(cfg core.Config, o obs.Observer) (core.Metrics, error) {
+	model, err := core.NewModel(cfg)
 	if err != nil {
 		return core.Metrics{}, err
 	}
@@ -317,7 +317,9 @@ func idleSweep(workers int, metric func(core.Metrics) float64, id, title, ylabel
 				i, mult := i, mult
 				jobs = append(jobs, func() error {
 					// Idle wait of mult service times ⇒ α = µ/mult.
-					met, err := solveMetrics(w.MAP, p, core.IdleWaitPerJob, workload.ServiceRatePerMs/mult)
+					cfg := paperConfig(w.MAP, p)
+					cfg.IdleRate = workload.ServiceRatePerMs / mult
+					met, err := solveMetrics(cfg, nil)
 					if err != nil {
 						return fmt.Errorf("experiments: idle sweep %s p=%g mult=%g: %w", w.Name, p, mult, err)
 					}
@@ -390,7 +392,7 @@ func dependenceFigure(workers int, id, title, ylabel string, metric func(core.Me
 						if err != nil {
 							return err
 						}
-						met, err := solveMetrics(scaled, p, core.IdleWaitPerJob, workload.ServiceRatePerMs)
+						met, err := solveMetrics(paperConfig(scaled, p), nil)
 						if err != nil {
 							return fmt.Errorf("experiments: dependence %s util %g: %w", proc.Name, util, err)
 						}

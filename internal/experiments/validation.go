@@ -86,20 +86,13 @@ func Validation(opts ValidationOptions) (Result, error) {
 		if err != nil {
 			return err
 		}
-		ana, err := solveMetricsObs(scaled, c.p, core.IdleWaitPerJob, workload.ServiceRatePerMs, opts.Observer)
+		cfg := paperConfig(scaled, c.p)
+		ana, err := solveMetrics(cfg, opts.Observer)
 		if err != nil {
 			return fmt.Errorf("experiments: validation %s: %w", c.name, err)
 		}
-		res, err := sim.RunOpts(nil, sim.Config{
-			Arrival:     scaled,
-			ServiceRate: workload.ServiceRatePerMs,
-			BGProb:      c.p,
-			BGBuffer:    5,
-			IdleRate:    workload.ServiceRatePerMs,
-			Seed:        opts.Seed + int64(i),
-			WarmupTime:  opts.MeasureTime / 20,
-			MeasureTime: opts.MeasureTime,
-		}, opts.Observer)
+		simCfg := sim.FromModel(cfg, opts.Seed+int64(i), opts.MeasureTime/20, opts.MeasureTime)
+		res, err := sim.RunOpts(nil, simCfg, opts.Observer)
 		if err != nil {
 			return fmt.Errorf("experiments: validation sim %s: %w", c.name, err)
 		}
@@ -136,11 +129,13 @@ func Ablation() (Result, error) {
 		Header: []string{"p", "qlenFG(job)", "qlenFG(period)", "compBG(job)", "compBG(period)", "waitPFG(job)", "waitPFG(period)"},
 	}
 	for _, p := range pBG {
-		perJob, err := solveMetrics(email, p, core.IdleWaitPerJob, workload.ServiceRatePerMs)
+		perJob, err := solveMetrics(paperConfig(email, p), nil)
 		if err != nil {
 			return Result{}, err
 		}
-		perPeriod, err := solveMetrics(email, p, core.IdleWaitPerPeriod, workload.ServiceRatePerMs)
+		periodCfg := paperConfig(email, p)
+		periodCfg.IdlePolicy = core.IdleWaitPerPeriod
+		perPeriod, err := solveMetrics(periodCfg, nil)
 		if err != nil {
 			return Result{}, err
 		}
@@ -166,17 +161,9 @@ func Ablation() (Result, error) {
 		row := []string{fmt.Sprintf("%.1f", util)}
 		var cells [3][2]string
 		for bi, buf := range []int{5, 25} {
-			model, err := core.NewModel(core.Config{
-				Arrival:     scaled,
-				ServiceRate: workload.ServiceRatePerMs,
-				BGProb:      0.6,
-				BGBuffer:    buf,
-				IdleRate:    workload.ServiceRatePerMs,
-			})
-			if err != nil {
-				return Result{}, err
-			}
-			sol, err := model.Solve()
+			cfg := paperConfig(scaled, 0.6)
+			cfg.BGBuffer = buf
+			sol, err := solveMetrics(cfg, nil)
 			if err != nil {
 				return Result{}, fmt.Errorf("experiments: ablation buffer %d util %g: %w", buf, util, err)
 			}
@@ -225,17 +212,9 @@ func serviceAblation(soft *arrival.MAP) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		model, err := core.NewModel(core.Config{
-			Arrival:  scaled,
-			Service:  svc,
-			BGProb:   0.6,
-			BGBuffer: 5,
-			IdleRate: workload.ServiceRatePerMs,
-		})
-		if err != nil {
-			return Table{}, err
-		}
-		sol, err := model.Solve()
+		cfg := paperConfig(scaled, 0.6)
+		cfg.ServiceRate, cfg.Service = 0, svc
+		sol, err := solveMetrics(cfg, nil)
 		if err != nil {
 			return Table{}, fmt.Errorf("experiments: service ablation %s: %w", variant.name, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"expvar"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"time"
 )
@@ -237,6 +238,29 @@ func (d *Diagnostics) FlushJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(d.Report())
+}
+
+// WriteReport writes the JSON report to the file at path and, after a line
+// naming that file, the convergence summary to summary. A nil d writes
+// nothing, so a command can call it whether or not diagnostics were asked
+// for.
+func (d *Diagnostics) WriteReport(path string, summary io.Writer) error {
+	if d == nil {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := d.FlushJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(summary, "diagnostics (JSON report in %s):\n", path)
+	return d.WriteSummary(summary)
 }
 
 // WriteSummary writes a short human-readable convergence summary to w.

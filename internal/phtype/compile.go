@@ -3,10 +3,10 @@ package phtype
 import "bgperf/internal/rng"
 
 // Compiled is a flattened sampler for a phase-type distribution, built once
-// and driven by an external rng.Rand. SampleOnce walks the (β, T) matrices
-// through At calls on every draw; Compiled precomputes the per-phase total
-// rates and cumulative jump tables into contiguous arrays so a draw costs
-// one ziggurat exponential per phase visit plus a short linear scan, with no
+// and driven by an external rng.Rand. Rather than walk the (β, T) matrices
+// on every draw, Compiled precomputes the per-phase total rates and
+// cumulative jump tables into contiguous arrays, so a draw costs one
+// ziggurat exponential per phase visit plus a short linear scan, with no
 // matrix access and no allocation. A Compiled is immutable and safe to share
 // across goroutines (all mutable state lives in the caller's generator).
 type Compiled struct {
@@ -15,8 +15,8 @@ type Compiled struct {
 	// invRate[i] = 1 / (−T[i][i]), the mean sojourn of phase i.
 	invRate []float64
 	// Entries off[i]..off[i+1]-1 are phase i's off-diagonal jumps: cumRate
-	// holds cumulative T[i][j] (compared against u·rate, matching
-	// SampleOnce), target the destination phases. A draw beyond the last
+	// holds cumulative T[i][j] (compared against u·rate, u uniform on
+	// [0, 1)), target the destination phases. A draw beyond the last
 	// cumulative rate absorbs.
 	off     []int32
 	cumRate []float64

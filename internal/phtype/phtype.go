@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"bgperf/internal/mat"
 )
@@ -24,7 +23,7 @@ var ErrInvalid = errors.New("phtype: invalid distribution")
 // probability vector over S transient phases and T the S×S transient
 // generator (strictly substochastic rows). The exit-rate vector is t = −T·1.
 // A Dist is immutable after construction and safe to share across
-// goroutines; only its Samplers carry mutable state.
+// goroutines; Compile flattens it into the sampler the simulator draws from.
 type Dist struct {
 	beta []float64
 	t    *mat.Matrix
@@ -288,60 +287,4 @@ func (d *Dist) CDF(x float64) float64 {
 		survival = 1
 	}
 	return 1 - survival
-}
-
-// Sampler draws variates from the distribution. A Sampler is not safe for
-// concurrent use: give each goroutine its own via NewSampler.
-type Sampler struct {
-	d   *Dist
-	rng *rand.Rand
-}
-
-// NewSampler returns a deterministic sampler for d.
-func NewSampler(d *Dist, seed int64) *Sampler {
-	return &Sampler{d: d, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next draws one absorption time.
-func (s *Sampler) Next() float64 {
-	return SampleOnce(s.d, s.rng)
-}
-
-// SampleOnce draws one absorption time of d using the provided source.
-func SampleOnce(d *Dist, rng *rand.Rand) float64 {
-	// Pick the initial phase.
-	u := rng.Float64()
-	phase := len(d.beta) - 1
-	acc := 0.0
-	for i, b := range d.beta {
-		acc += b
-		if u < acc {
-			phase = i
-			break
-		}
-	}
-	var total float64
-	for {
-		rate := -d.t.At(phase, phase)
-		total += -math.Log(1-rng.Float64()) / rate
-		// Choose the next phase or absorption.
-		u := rng.Float64() * rate
-		acc := 0.0
-		next := -1
-		for j := 0; j < d.Order(); j++ {
-			if j == phase {
-				continue
-			}
-			acc += d.t.At(phase, j)
-			if u < acc {
-				next = j
-				break
-			}
-		}
-		if next < 0 {
-			// Exit (absorption) chosen.
-			return total
-		}
-		phase = next
-	}
 }

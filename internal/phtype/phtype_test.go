@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"bgperf/internal/mat"
+	"bgperf/internal/rng"
 )
 
 func TestExponentialMoments(t *testing.T) {
@@ -173,16 +174,18 @@ func TestCDFErlang(t *testing.T) {
 	}
 }
 
+// TestSamplerMatchesMoments checks the simulator's sampler, Compile(d).Sample,
+// against the distribution's first two moments.
 func TestSamplerMatchesMoments(t *testing.T) {
 	d, err := Hyperexponential([]float64{0.3, 0.7}, []float64{0.5, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSampler(d, 42)
+	c, r := Compile(d), rng.New(42)
 	const n = 300000
 	var sum, sumSq float64
 	for i := 0; i < n; i++ {
-		x := s.Next()
+		x := c.Sample(&r)
 		sum += x
 		sumSq += x * x
 	}
@@ -199,11 +202,11 @@ func TestSamplerMatchesMoments(t *testing.T) {
 func TestSamplerErlangPhases(t *testing.T) {
 	// Erlang sampling must traverse the chain, not just exit from phase 1.
 	d, _ := Erlang(3, 3)
-	s := NewSampler(d, 7)
+	c, r := Compile(d), rng.New(7)
 	const n = 100000
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += s.Next()
+		sum += c.Sample(&r)
 	}
 	if mean := sum / n; math.Abs(mean-1) > 0.02 {
 		t.Errorf("Erlang-3 sample mean %v, want 1", mean)

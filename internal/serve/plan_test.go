@@ -345,6 +345,7 @@ func TestPlanFromTraceErrors(t *testing.T) {
 		body       string
 		wantStatus int
 		wantInMsg  string
+		wantField  string
 	}{
 		{
 			name:       "malformed trace",
@@ -366,6 +367,7 @@ func TestPlanFromTraceErrors(t *testing.T) {
 			body:       emailNDJSON(t, 2000),
 			wantStatus: http.StatusBadRequest,
 			wantInMsg:  "unknown query parameter",
+			wantField:  "bogus",
 		},
 		{
 			name:       "removed maxIter parameter",
@@ -373,6 +375,7 @@ func TestPlanFromTraceErrors(t *testing.T) {
 			body:       emailNDJSON(t, 2000),
 			wantStatus: http.StatusBadRequest,
 			wantInMsg:  "unknown query parameter",
+			wantField:  "maxIter",
 		},
 		{
 			name:       "bad numeric parameter",
@@ -380,6 +383,31 @@ func TestPlanFromTraceErrors(t *testing.T) {
 			body:       emailNDJSON(t, 2000),
 			wantStatus: http.StatusBadRequest,
 			wantInMsg:  "bad numeric parameter",
+			wantField:  "qlenFG",
+		},
+		{
+			name:       "non-integer buffer",
+			path:       "/v1/plan-from-trace?qlenFG=10&bgBuffer=2.5",
+			body:       emailNDJSON(t, 2000),
+			wantStatus: http.StatusBadRequest,
+			wantInMsg:  "bad integer parameter",
+			wantField:  "bgBuffer",
+		},
+		{
+			name:       "workload replaced by the trace",
+			path:       "/v1/plan-from-trace?qlenFG=10&workload=email",
+			body:       emailNDJSON(t, 2000),
+			wantStatus: http.StatusBadRequest,
+			wantInMsg:  "unknown query parameter",
+			wantField:  "workload",
+		},
+		{
+			name:       "slo object name",
+			path:       "/v1/plan-from-trace?qlenFG=10&slo=1",
+			body:       emailNDJSON(t, 2000),
+			wantStatus: http.StatusBadRequest,
+			wantInMsg:  "unknown query parameter",
+			wantField:  "slo",
 		},
 	}
 	for _, tc := range cases {
@@ -394,6 +422,9 @@ func TestPlanFromTraceErrors(t *testing.T) {
 			}
 			if res.Error == nil || !strings.Contains(res.Error.Message, tc.wantInMsg) {
 				t.Fatalf("error %+v does not mention %q", res.Error, tc.wantInMsg)
+			}
+			if res.Error.Field != tc.wantField {
+				t.Errorf("error field = %q, want %q", res.Error.Field, tc.wantField)
 			}
 		})
 	}

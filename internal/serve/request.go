@@ -1,10 +1,18 @@
 package serve
 
 import (
+	"fmt"
+	"net/url"
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
+
 	"bgperf/internal/arrival"
 	"bgperf/internal/core"
 	"bgperf/internal/phtype"
 	"bgperf/internal/plan"
+	"bgperf/internal/trace"
 	"bgperf/internal/workload"
 )
 
@@ -96,30 +104,131 @@ type OptimizeRequest struct {
 // The caller stamps the runtime knobs (workers, observer, context) before
 // searching. Errors are *core.ValidationError naming the request field.
 func (r OptimizeRequest) PlanInputs() (core.Config, plan.SLO, plan.Options, error) {
-	cfg, err := r.SolveRequest.Config()
+	m, err := Workload(r.Workload)
 	if err != nil {
 		return core.Config{}, plan.SLO{}, plan.Options{}, err
 	}
-	opts, err := r.planOptions()
-	if err != nil {
-		return core.Config{}, plan.SLO{}, plan.Options{}, err
-	}
-	return cfg, r.SLO, opts, nil
+	return r.planInputs(m)
 }
 
-// planOptions validates and resolves the search knobs shared by
-// /v1/optimize and /v1/plan-from-trace.
-func (r OptimizeRequest) planOptions() (plan.Options, error) {
+// TracePlanInputs is PlanInputs with the arrival process fitted to tr, an
+// MMPP(2) that replaces the catalog workload (the paper's Sec. 3.1
+// ingest-and-fit workflow), and the summary of that fit. It is the one
+// plan-from-trace path of /v1/plan-from-trace and `bgperf plan -trace`.
+func (r OptimizeRequest) TracePlanInputs(tr *trace.Trace) (core.Config, plan.SLO, plan.Options, *FitSummary, error) {
+	m, err := workload.FromTrace(tr)
+	if err != nil {
+		return core.Config{}, plan.SLO{}, plan.Options{}, nil, err
+	}
+	cfg, slo, opts, err := r.planInputs(m)
+	if err != nil {
+		return core.Config{}, plan.SLO{}, plan.Options{}, nil, err
+	}
+	fit := &FitSummary{Samples: len(tr.Interarrivals), Rate: m.Rate(), SCV: m.SCV(), ACF1: m.ACF(1)}
+	return cfg, slo, opts, fit, nil
+}
+
+// planInputs resolves the request against the arrival process m and
+// validates the search knobs.
+func (r OptimizeRequest) planInputs(m *arrival.MAP) (core.Config, plan.SLO, plan.Options, error) {
+	cfg, err := r.ConfigWithArrival(m)
+	if err != nil {
+		return core.Config{}, plan.SLO{}, plan.Options{}, err
+	}
 	v, err := plan.ParseVar(r.Var)
 	if err != nil {
-		return plan.Options{}, err
+		return core.Config{}, plan.SLO{}, plan.Options{}, err
 	}
 	if r.Tolerance != 0 {
 		if err := plan.CheckTol(v, r.Tolerance, "tolerance"); err != nil {
-			return plan.Options{}, err
+			return core.Config{}, plan.SLO{}, plan.Options{}, err
 		}
 	}
-	return plan.Options{Var: v, Tol: r.Tolerance}, nil
+	return cfg, r.SLO, plan.Options{Var: v, Tol: r.Tolerance}, nil
+}
+
+// traceQueryFields maps each /v1/plan-from-trace query parameter to the
+// index path of its OptimizeRequest field. The names are the request's JSON
+// names, with nested structs (the embedded SolveRequest and the SLO)
+// flattened, and without "workload", since the trace replaces it.
+var traceQueryFields = func() map[string][]int {
+	fields := map[string][]int{}
+	var walk func(t reflect.Type, at []int)
+	walk = func(t reflect.Type, at []int) {
+		for i := range t.NumField() {
+			f := t.Field(i)
+			idx := append(slices.Clip(at), i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(f.Type, idx)
+				continue
+			}
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			fields[name] = idx
+		}
+	}
+	walk(reflect.TypeFor[OptimizeRequest](), nil)
+	delete(fields, "workload")
+	return fields
+}()
+
+// planTraceQuery maps the /v1/plan-from-trace query string onto an
+// OptimizeRequest (the body is reserved for the trace itself). Unknown
+// parameters are rejected, mirroring DisallowUnknownFields on the JSON
+// endpoints; an empty value leaves its field at the zero value. Parameters
+// are read in name order, so a query with several bad ones always reports
+// the same one.
+func planTraceQuery(q url.Values) (OptimizeRequest, error) {
+	var req OptimizeRequest
+	rv := reflect.ValueOf(&req).Elem()
+	names := make([]string, 0, len(q))
+	for name := range q {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		idx, ok := traceQueryFields[name]
+		if !ok {
+			return req, core.NewValidationError(core.ErrConfig, name,
+				"unknown query parameter %q", name)
+		}
+		if v := q.Get(name); v != "" {
+			if err := setQueryValue(rv.FieldByIndex(idx), name, v); err != nil {
+				return req, err
+			}
+		}
+	}
+	return req, nil
+}
+
+// setQueryValue parses the query value v into dst by dst's Go kind. A
+// pointer field gets a fresh value, so a parameter that is present is never
+// mistaken for an absent one.
+func setQueryValue(dst reflect.Value, name, v string) error {
+	switch dst.Kind() {
+	case reflect.String:
+		dst.SetString(v)
+	case reflect.Float64:
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return core.NewValidationError(core.ErrConfig, name, "bad numeric parameter %q", v)
+		}
+		dst.SetFloat(f)
+	case reflect.Int:
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return core.NewValidationError(core.ErrConfig, name, "bad integer parameter %q", v)
+		}
+		dst.SetInt(int64(n))
+	case reflect.Pointer:
+		p := reflect.New(dst.Type().Elem())
+		if err := setQueryValue(p.Elem(), name, v); err != nil {
+			return err
+		}
+		dst.Set(p)
+	default:
+		return fmt.Errorf("serve: query parameter %q: no parser for %s", name, dst.Type())
+	}
+	return nil
 }
 
 // Config resolves the request into a validated core.Config, applying the

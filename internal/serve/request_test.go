@@ -1,54 +1,83 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"maps"
 	"math"
 	"net/http"
+	"net/url"
 	"reflect"
-	"strings"
 	"testing"
 
 	"bgperf/internal/core"
 	"bgperf/internal/plan"
 )
 
-// jsonNames lists the JSON names of t's fields, flattening embedded structs
-// the way encoding/json does.
-func jsonNames(t reflect.Type) []string {
-	var names []string
-	for i := range t.NumField() {
-		f := t.Field(i)
-		if f.Anonymous {
-			names = append(names, jsonNames(f.Type)...)
-			continue
+// fillDistinct sets every field of the struct v, nested structs included,
+// to a distinct non-zero value drawn from *n.
+func fillDistinct(t *testing.T, v reflect.Value, n *int) {
+	for i := range v.NumField() {
+		f := v.Field(i)
+		*n++
+		switch f.Kind() {
+		case reflect.Struct:
+			fillDistinct(t, f, n)
+		case reflect.String:
+			f.SetString(fmt.Sprintf("s%d", *n))
+		case reflect.Float64:
+			f.SetFloat(float64(*n) + 0.5)
+		case reflect.Int:
+			f.SetInt(int64(*n))
+		case reflect.Pointer:
+			p := reflect.New(f.Type().Elem())
+			p.Elem().SetInt(int64(*n))
+			f.Set(p)
+		default:
+			t.Fatalf("%s.%s: no distinct value for kind %s", v.Type(), v.Type().Field(i).Name, f.Kind())
 		}
-		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
-		names = append(names, name)
 	}
-	return names
 }
 
-// TestPlanTraceParamsMatchRequest pins /v1/plan-from-trace's query
-// vocabulary to OptimizeRequest's JSON one: every field but "workload" (the
-// trace replaces it), with the SLO's bounds in place of "slo", so a field
-// added to the request cannot be left out of the query string.
-func TestPlanTraceParamsMatchRequest(t *testing.T) {
-	want := map[string]bool{}
-	for _, name := range jsonNames(reflect.TypeFor[OptimizeRequest]()) {
-		switch name {
-		case "workload":
-		case "slo":
-			for _, b := range jsonNames(reflect.TypeFor[plan.SLO]()) {
-				want[b] = true
-			}
-		default:
-			want[name] = true
-		}
+// TestPlanTraceQueryRoundTrip sets every OptimizeRequest field but
+// "workload" (the trace replaces it) to a distinct value, encodes the
+// request as a /v1/plan-from-trace query string by its JSON names (the
+// SLO's bounds under their own names), and requires the decoded request to
+// equal it, so every field added to the request is reachable from the query
+// string with no list to edit.
+func TestPlanTraceQueryRoundTrip(t *testing.T) {
+	var want OptimizeRequest
+	n := 0
+	fillDistinct(t, reflect.ValueOf(&want).Elem(), &n)
+	want.Workload = ""
+	body, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !maps.Equal(planTraceParams, want) {
-		t.Fatalf("query parameters %v, want %v", planTraceParams, want)
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
+	var fields map[string]any
+	if err := dec.Decode(&fields); err != nil {
+		t.Fatal(err)
+	}
+	slo, ok := fields["slo"].(map[string]any)
+	if !ok {
+		t.Fatalf("no slo object in %s", body)
+	}
+	delete(fields, "slo")
+	delete(fields, "workload")
+	maps.Copy(fields, slo)
+	q := url.Values{}
+	for name, v := range fields {
+		q.Set(name, fmt.Sprint(v))
+	}
+	got, err := planTraceQuery(q)
+	if err != nil {
+		t.Fatalf("query %s: %v", q.Encode(), err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("query %s decoded to\n%+v\nwant\n%+v", q.Encode(), got, want)
 	}
 }
 

@@ -57,8 +57,6 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
-	"net/url"
-	"strconv"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -697,114 +695,16 @@ func (s *Server) handlePlanFromTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	fitted, err := workload.FromTrace(tr)
+	cfg, slo, popts, fit, err := req.TracePlanInputs(tr)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	cfg, err := req.SolveRequest.ConfigWithArrival(fitted)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	popts, err := req.planOptions()
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	res, status := s.planPoint(ctx, cfg, req.SLO, popts)
+	res, status := s.planPoint(ctx, cfg, slo, popts)
 	if res.Error == nil {
-		res.Fit = &FitSummary{
-			Samples: len(tr.Interarrivals),
-			Rate:    fitted.Rate(),
-			SCV:     fitted.SCV(),
-			ACF1:    fitted.ACF(1),
-		}
+		res.Fit = fit
 	}
 	writeJSON(w, status, res)
-}
-
-// planTraceParams names the /v1/plan-from-trace query parameters: the JSON
-// names of OptimizeRequest's fields, with the SLO's bounds in place of
-// "slo" and without "workload", since the trace replaces it.
-var planTraceParams = map[string]bool{
-	"var": true, "qlenFG": true, "waitPFG": true, "respTimeFG": true,
-	"tolerance": true, "utilization": true,
-	"bgProb": true, "bgBuffer": true, "idleMult": true, "policy": true,
-	"serviceSCV": true, "idleSCV": true,
-	"modFactor": true, "bgAdmit": true, "fgThreshold": true, "deadlineRate": true,
-	"bg2Prob": true, "bg2Buffer": true,
-}
-
-// planTraceQuery maps the /v1/plan-from-trace query string onto an
-// OptimizeRequest (the body is reserved for the trace itself). Unknown
-// parameters are rejected, mirroring DisallowUnknownFields on the JSON
-// endpoints.
-func planTraceQuery(q url.Values) (OptimizeRequest, error) {
-	var req OptimizeRequest
-	getF := func(name string, dst *float64) error {
-		v := q.Get(name)
-		if v == "" {
-			return nil
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return core.NewValidationError(core.ErrConfig, name,
-				"bad numeric parameter %q", v)
-		}
-		*dst = f
-		return nil
-	}
-	for name := range q {
-		if !planTraceParams[name] {
-			return req, core.NewValidationError(core.ErrConfig, name,
-				"unknown query parameter %q", name)
-		}
-	}
-	req.Var = q.Get("var")
-	req.Policy = q.Get("policy")
-	req.BGAdmit = q.Get("bgAdmit")
-	for _, p := range []struct {
-		name string
-		dst  *float64
-	}{
-		{"qlenFG", &req.SLO.QLenFG},
-		{"waitPFG", &req.SLO.WaitPFG},
-		{"respTimeFG", &req.SLO.RespTimeFG},
-		{"tolerance", &req.Tolerance},
-		{"utilization", &req.Utilization},
-		{"bgProb", &req.BGProb},
-		{"idleMult", &req.IdleMult},
-		{"serviceSCV", &req.ServiceSCV},
-		{"idleSCV", &req.IdleSCV},
-		{"modFactor", &req.ModFactor},
-		{"deadlineRate", &req.DeadlineRate},
-		{"bg2Prob", &req.BG2Prob},
-	} {
-		if err := getF(p.name, p.dst); err != nil {
-			return req, err
-		}
-	}
-	for _, p := range []struct {
-		name string
-		set  func(int)
-	}{
-		{"bgBuffer", func(n int) { req.BGBuffer = &n }},
-		{"fgThreshold", func(n int) { req.FGThreshold = n }},
-		{"bg2Buffer", func(n int) { req.BG2Buffer = &n }},
-	} {
-		v := q.Get(p.name)
-		if v == "" {
-			continue
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return req, core.NewValidationError(core.ErrConfig, p.name,
-				"bad integer parameter %q", v)
-		}
-		p.set(n)
-	}
-	return req, nil
 }
 
 // handleHealthz answers GET /healthz: 200 while serving, 503 once draining.

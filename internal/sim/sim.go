@@ -127,8 +127,35 @@ type Config struct {
 	Batches int
 }
 
+// FromModel is the simulation of the analytic configuration m with the
+// given seed and measurement windows: it copies every core.Config field
+// into its same-named queueing field, so the simulator runs exactly the
+// model the solver solves. It is the inverse of model.
+func FromModel(m core.Config, seed int64, warmup, measure float64) Config {
+	return Config{
+		Arrival:      m.Arrival,
+		ServiceRate:  m.ServiceRate,
+		Service:      m.Service,
+		ServiceMAP:   m.ServiceMAP,
+		BGProb:       m.BGProb,
+		BGBuffer:     m.BGBuffer,
+		BG2Prob:      m.BG2Prob,
+		BG2Buffer:    m.BG2Buffer,
+		IdleRate:     m.IdleRate,
+		IdleWait:     m.IdleWait,
+		IdlePolicy:   m.IdlePolicy,
+		ModFactor:    m.ModFactor,
+		BGAdmit:      m.BGAdmit,
+		FGThreshold:  m.FGThreshold,
+		DeadlineRate: m.DeadlineRate,
+		Seed:         seed,
+		WarmupTime:   warmup,
+		MeasureTime:  measure,
+	}
+}
+
 // model projects the queueing fields onto core.Config, whose rules they
-// share.
+// share. It is the inverse of FromModel.
 func (c Config) model() core.Config {
 	return core.Config{
 		Arrival:      c.Arrival,

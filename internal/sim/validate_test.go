@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"bgperf/internal/arrival"
-	"bgperf/internal/check"
 	"bgperf/internal/core"
 	"bgperf/internal/phtype"
 	"bgperf/internal/sim"
@@ -13,7 +12,7 @@ import (
 
 // TestValidationMatchesCore runs every model-field rule of core.Config
 // through both engines: core.NewModel and sim.RunOpts (on the config
-// check.SimConfig projects) must reject each defect, naming the same Field,
+// sim.FromModel projects) must reject each defect, naming the same Field,
 // with the solver's error wrapping core.ErrConfig and the simulator's
 // sim.ErrConfig.
 func TestValidationMatchesCore(t *testing.T) {
@@ -60,7 +59,7 @@ func TestValidationMatchesCore(t *testing.T) {
 			cfg := base
 			tt.mut(&cfg)
 			_, coreErr := core.NewModel(cfg)
-			_, simErr := sim.RunOpts(nil, check.SimConfig(cfg, 1, 0, 10), nil)
+			_, simErr := sim.RunOpts(nil, sim.FromModel(cfg, 1, 0, 10), nil)
 			for _, c := range []struct {
 				engine   string
 				err      error
@@ -86,7 +85,7 @@ func TestValidationMatchesCore(t *testing.T) {
 	if _, err := core.NewModel(base); err != nil {
 		t.Fatalf("core rejects the base config: %v", err)
 	}
-	if _, err := sim.RunOpts(nil, check.SimConfig(base, 1, 0, 10), nil); err != nil {
+	if _, err := sim.RunOpts(nil, sim.FromModel(base, 1, 0, 10), nil); err != nil {
 		t.Fatalf("sim rejects the base config: %v", err)
 	}
 }

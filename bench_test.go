@@ -18,7 +18,7 @@ func benchOptions() experiments.Options {
 	return experiments.Options{
 		Seed:        1,
 		TraceLength: 300000,
-		Validation:  experiments.ValidationOptions{MeasureTime: 2e6},
+		MeasureTime: 2e6,
 	}
 }
 
@@ -27,8 +27,8 @@ func benchFigure(b *testing.B, name string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// A fresh registry per iteration defeats the Suite's sweep cache, so
-		// every iteration measures the full artifact regeneration.
+		// A fresh registry per iteration starts from an empty Suite table,
+		// so every iteration measures the full artifact regeneration.
 		gen, ok := experiments.Lookup(name, benchOptions())
 		if !ok {
 			b.Fatalf("unknown experiment %q", name)
@@ -188,13 +188,14 @@ func BenchmarkScalability(b *testing.B) { benchFigure(b, "scalability") }
 
 // benchSuiteWorkers regenerates Figures 5–8 from a fresh Suite per iteration
 // with the given worker-pool width, measuring the whole utilization ×
-// BG-probability sweep (the Suite's cached computation) plus rendering prep.
+// BG-probability sweep (95 models the four figures share, each solved once)
+// plus rendering prep.
 func benchSuiteWorkers(b *testing.B, workers int) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuite(workers, nil)
+		s := experiments.NewSuite(experiments.Options{Workers: workers})
 		for _, run := range []func() (experiments.Result, error){
 			s.Figure5, s.Figure6, s.Figure7, s.Figure8,
 		} {
@@ -209,8 +210,8 @@ func benchSuiteWorkers(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkSuiteSerial and BenchmarkSuiteParallel compare the sweep engine
-// with a single worker against the full worker pool (one goroutine per
+// BenchmarkSuiteSerial and BenchmarkSuiteParallel compare the Suite's grid
+// fan-out with a single worker against the full worker pool (one goroutine per
 // core). Their outputs are bit-identical; only wall-clock differs, by about
 // the core count on sufficiently parallel hardware.
 func BenchmarkSuiteSerial(b *testing.B)   { benchSuiteWorkers(b, 1) }

@@ -187,6 +187,18 @@ func printTails(out io.Writer, sol *core.Solution) {
 	fmt.Fprintln(out)
 }
 
+// newDiag returns the collector a -diag path asks for and the observer to
+// hand the solver. Without -diag both are nil, and the observer is an
+// untyped nil rather than a nil *obs.Diagnostics boxed in obs.Observer,
+// which would be non-nil and put every solve on its timed path.
+func newDiag(path string) (*obs.Diagnostics, obs.Observer) {
+	if path == "" {
+		return nil, nil
+	}
+	d := obs.NewDiagnostics()
+	return d, d
+}
+
 func cmdSolve(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("solve", flag.ContinueOnError)
 	mf := addModelFlags(fs)
@@ -203,11 +215,8 @@ func cmdSolve(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var diag *obs.Diagnostics
-	if *diagPath != "" {
-		diag = obs.NewDiagnostics()
-	}
-	sol, err := model.SolveObserved(diag)
+	diag, o := newDiag(*diagPath)
+	sol, err := model.SolveObserved(o)
 	if err != nil {
 		return err
 	}
@@ -290,11 +299,8 @@ func cmdPlan(args []string, out io.Writer) error {
 		return err
 	}
 	opts.Workers = *workers
-	var diag *obs.Diagnostics
-	if *diagPath != "" {
-		diag = obs.NewDiagnostics()
-		opts.Observer = diag
-	}
+	diag, o := newDiag(*diagPath)
+	opts.Observer = o
 	res, err := plan.Maximize(cfg, slo, opts)
 	if err != nil {
 		return err
@@ -380,12 +386,8 @@ func cmdSim(args []string, out io.Writer) error {
 	if *detIdle {
 		simCfg.IdleDist = bgperf.IdleDeterministic
 	}
-	var diag *obs.Diagnostics
-	simOpts := []bgperf.Option{bgperf.WithWorkers(*workers), bgperf.WithReplications(*reps)}
-	if *diagPath != "" {
-		diag = obs.NewDiagnostics()
-		simOpts = append(simOpts, bgperf.WithObserver(diag))
-	}
+	diag, o := newDiag(*diagPath)
+	simOpts := []bgperf.Option{bgperf.WithWorkers(*workers), bgperf.WithReplications(*reps), bgperf.WithObserver(o)}
 	if *reps > 1 {
 		agg, err := bgperf.SimulateReplications(simCfg, simOpts...)
 		if err != nil {
@@ -587,12 +589,9 @@ func cmdCheck(args []string, out io.Writer) error {
 	if *workers < 0 {
 		return fmt.Errorf("workers must be >= 0")
 	}
-	var diag *obs.Diagnostics
-	if *diagPath != "" {
-		diag = obs.NewDiagnostics()
-	}
+	diag, o := newDiag(*diagPath)
 	rep, err := check.Run(context.Background(), check.Options{
-		N: *n, Seed: *seed, Tol: *tol, Reps: *reps, Workers: *workers, Observer: diag,
+		N: *n, Seed: *seed, Tol: *tol, Reps: *reps, Workers: *workers, Observer: o,
 	})
 	if err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"bgperf/internal/obs"
 	"bgperf/internal/trace"
 	"bgperf/internal/workload"
 )
@@ -203,6 +204,19 @@ func TestMultiDiag(t *testing.T) {
 	}
 	if _, err := runCmd(t, "multi"); err == nil {
 		t.Error("removed multi subcommand accepted")
+	}
+}
+
+// TestNewDiagObserver pins the observer that solve, plan, sim and check
+// hand the solver: an untyped nil without -diag, so their solves stay on the
+// uninstrumented path, and the report's collector with it.
+func TestNewDiagObserver(t *testing.T) {
+	if diag, o := newDiag(""); diag != nil || o != nil {
+		t.Errorf("without -diag: collector %v, observer %#v; want both nil", diag, o)
+	}
+	diag, o := newDiag("diag.json")
+	if diag == nil || o != obs.Observer(diag) {
+		t.Errorf("with -diag: observer %#v is not the collector %p", o, diag)
 	}
 }
 

@@ -9,7 +9,10 @@
 //	experiments -format csv -outdir results/
 //	experiments -list
 //
-// Figure names: 1 2 5 6 7 8 9 10 11 12 13 validation ablation.
+// Artifact names: 1 2 5 6 7 8 9 10 11 12 13 validation ablation extension
+// baseline scalability. Every artifact but scalability (which times
+// individual solves) comes from one experiments.Suite, so a full run solves
+// each distinct model once.
 package main
 
 import (
@@ -30,48 +33,60 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// command is one parsed invocation.
+type command struct {
+	opts                             experiments.Options
+	diag                             *obs.Diagnostics
+	figure, format, outdir, diagPath string
+	list                             bool
+}
+
+// parse reads the command line. Without -diag the options' Observer is an
+// untyped nil, not a nil *obs.Diagnostics boxed in obs.Observer (which
+// would be non-nil and put every solve on its timed path).
+func parse(args []string) (command, error) {
+	var c command
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	var (
-		figure   = fs.String("figure", "all", "artifact to generate (all | 1 | 2 | 5..13 | validation | ablation)")
-		format   = fs.String("format", "text", "output format (text | csv | gnuplot)")
-		outdir   = fs.String("outdir", "", "write one file per artifact into this directory instead of stdout")
-		seed     = fs.Int64("seed", 1, "seed for stochastic experiments")
-		simTime  = fs.Float64("simtime", 2e8, "validation simulation window (ms)")
-		workers  = fs.Int("workers", 0, "max goroutines for the sweep engine (0 = all cores, 1 = serial); output is identical for every setting")
-		list     = fs.Bool("list", false, "list available artifacts and exit")
-		diagPath = fs.String("diag", "", "write a JSON diagnostics report (solver stage timings, convergence, workspace reuse) to this file")
-	)
+	fs.StringVar(&c.figure, "figure", "all", "artifact to generate (all | 1 | 2 | 5..13 | validation | ablation | extension | baseline | scalability)")
+	fs.StringVar(&c.format, "format", "text", "output format (text | csv | gnuplot)")
+	fs.StringVar(&c.outdir, "outdir", "", "write one file per artifact into this directory instead of stdout")
+	fs.Int64Var(&c.opts.Seed, "seed", 1, "seed for stochastic experiments")
+	fs.Float64Var(&c.opts.MeasureTime, "simtime", 2e8, "validation simulation window (ms)")
+	fs.IntVar(&c.opts.Workers, "workers", 0, "max goroutines for the grid points (0 = all cores, 1 = serial); output is identical for every setting")
+	fs.BoolVar(&c.list, "list", false, "list available artifacts and exit")
+	fs.StringVar(&c.diagPath, "diag", "", "write a JSON diagnostics report (solver stage timings, convergence, workspace reuse) to this file")
 	if err := fs.Parse(args); err != nil {
+		return command{}, err
+	}
+	if c.format != "text" && c.format != "csv" && c.format != "gnuplot" {
+		return command{}, fmt.Errorf("unknown format %q", c.format)
+	}
+	if c.opts.Workers < 0 {
+		return command{}, fmt.Errorf("workers must be >= 0")
+	}
+	if c.diagPath != "" {
+		c.diag = obs.NewDiagnostics()
+		c.opts.Observer = c.diag
+	}
+	return c, nil
+}
+
+func run(args []string, out io.Writer) error {
+	c, err := parse(args)
+	if err != nil {
 		return err
 	}
-	if *format != "text" && *format != "csv" && *format != "gnuplot" {
-		return fmt.Errorf("unknown format %q", *format)
-	}
-	if *workers < 0 {
-		return fmt.Errorf("workers must be >= 0")
-	}
-	var diag *obs.Diagnostics
-	if *diagPath != "" {
-		diag = obs.NewDiagnostics()
-	}
-	opts := experiments.Options{
-		Seed:       *seed,
-		Workers:    *workers,
-		Validation: experiments.ValidationOptions{MeasureTime: *simTime},
-		Observer:   diag,
-	}
-	gens := experiments.All(opts)
-	if *list {
+	gens := experiments.All(c.opts)
+	if c.list {
 		for _, g := range gens {
 			fmt.Fprintf(out, "%-12s %s\n", g.Name, g.Paper)
 		}
 		return nil
 	}
-	if *figure != "all" {
-		g, ok := experiments.Lookup(*figure, opts)
+	if c.figure != "all" {
+		g, ok := experiments.Lookup(c.figure, c.opts)
 		if !ok {
-			return fmt.Errorf("unknown figure %q (try -list)", *figure)
+			return fmt.Errorf("unknown figure %q (try -list)", c.figure)
 		}
 		gens = []experiments.Generator{g}
 	}
@@ -81,11 +96,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", g.Name, err)
 		}
-		if err := emit(res, *format, *outdir, out); err != nil {
+		if err := emit(res, c.format, c.outdir, out); err != nil {
 			return fmt.Errorf("%s: %w", g.Name, err)
 		}
 	}
-	return diag.WriteReport(*diagPath, out)
+	return c.diag.WriteReport(c.diagPath, out)
 }
 
 // emit writes a result either to stdout or as per-artifact files.

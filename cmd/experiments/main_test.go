@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -96,5 +97,46 @@ func TestOutdirGnuplot(t *testing.T) {
 	// Tables fall back to text even in gnuplot mode.
 	if _, err := os.Stat(filepath.Join(dir, "fig2-table.gp")); err != nil {
 		t.Errorf("table artifact missing: %v", err)
+	}
+}
+
+// TestDiagObserver pins the experiments' observer: an untyped nil without
+// -diag, so their solves stay on the uninstrumented path, and the report's
+// collector with it.
+func TestDiagObserver(t *testing.T) {
+	c, err := parse(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.diag != nil || c.opts.Observer != nil {
+		t.Errorf("without -diag: collector %v, observer %#v; want both nil", c.diag, c.opts.Observer)
+	}
+	if c, err = parse([]string{"-diag", "d.json"}); err != nil {
+		t.Fatal(err)
+	}
+	if c.diag == nil || c.opts.Observer != c.diag {
+		t.Errorf("with -diag: observer %#v is not the collector %p", c.opts.Observer, c.diag)
+	}
+}
+
+// TestDiagCountsSolves checks an idle-wait figure's report counts its 48
+// solves.
+func TestDiagCountsSolves(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "diag.json")
+	if _, err := runCmd(t, "-figure", "10", "-diag", path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Solves int `json:"solves"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Solves != 48 {
+		t.Errorf("Fig. 10 report counts %d solves, want 48", rep.Solves)
 	}
 }

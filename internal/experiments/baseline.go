@@ -5,7 +5,6 @@ import (
 
 	"bgperf/internal/arrival"
 	"bgperf/internal/core"
-	"bgperf/internal/par"
 	"bgperf/internal/refqueue"
 	"bgperf/internal/workload"
 )
@@ -22,11 +21,7 @@ import (
 // badly elsewhere — the gap the paper's explicit chain closes. Poisson
 // arrivals throughout; for correlated arrivals the decomposition has no
 // defensible form at all, which is the paper's larger point.
-//
-// The (util, p) grid points are independent solves and fan out over at most
-// workers goroutines (0: all cores); rows are collected index-addressed so
-// the table matches a serial run exactly.
-func Baseline(workers int) (Result, error) {
+func (s *Suite) Baseline() (Result, error) {
 	const (
 		mu    = workload.ServiceRatePerMs
 		alpha = workload.ServiceRatePerMs // idle wait = one service time
@@ -51,43 +46,39 @@ func Baseline(workers int) (Result, error) {
 	)
 	utilGrid := []float64{0.2, 0.5, 0.8}
 	pGrid := []float64{0.1, 0.5, 0.9}
-	tbl.Rows = make([][]string, len(utilGrid)*len(pGrid))
-	err := par.For(workers, len(tbl.Rows), func(i int) error {
+	var pts []point
+	for _, util := range utilGrid {
+		for _, p := range pGrid {
+			ap, err := arrival.Poisson(util * mu)
+			if err != nil {
+				return Result{}, err
+			}
+			pts = append(pts, point{fmt.Sprintf("baseline util %g p %g", util, p), core.Config{
+				Arrival:     ap,
+				ServiceRate: mu,
+				BGProb:      p,
+				BGBuffer:    5,
+				IdleRate:    alpha,
+			}})
+		}
+	}
+	sols, err := s.solveAll(pts)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, sol := range sols {
 		util, p := utilGrid[i/len(pGrid)], pGrid[i%len(pGrid)]
-		ap, err := arrival.Poisson(util * mu)
-		if err != nil {
-			return err
-		}
-		model, err := core.NewModel(core.Config{
-			Arrival:     ap,
-			ServiceRate: mu,
-			BGProb:      p,
-			BGBuffer:    5,
-			IdleRate:    alpha,
-		})
-		if err != nil {
-			return err
-		}
-		sol, err := model.Solve()
-		if err != nil {
-			return fmt.Errorf("experiments: baseline util %g p %g: %w", util, p, err)
-		}
 		exactWait := sol.RespTimeFG - svcMean
 		vacWait, err := refqueue.MG1VacationWait(util*mu, svcMean, svcM2, vacMean, vacM2)
 		if err != nil {
-			return err
+			return Result{}, err
 		}
-		emptyBuf := sol.BGOccupancyDist()[0]
-		tbl.Rows[i] = []string{
+		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%.1f", util), fmt.Sprintf("%.1f", p),
 			fmtG(exactWait), fmtG(vacWait),
 			fmt.Sprintf("%.0f%%", 100*(vacWait-exactWait)/exactWait),
-			fmtG(emptyBuf),
-		}
-		return nil
-	})
-	if err != nil {
-		return Result{}, err
+			fmtG(sol.BGOccupancyDist()[0]),
+		})
 	}
 	return Result{Tables: []Table{tbl}}, nil
 }

@@ -7,12 +7,12 @@
 // aligned text or CSV is separate so the cmd tools, benchmarks, and tests
 // share one code path.
 //
-// Generators whose grids are embarrassingly parallel (the load sweeps behind
-// Fig. 5–13 and the baseline/extension/validation tables) fan their
-// independent solves out over a bounded worker pool (Options.Workers;
-// 0 = all cores). Results are always collected index-addressed, so every
-// artifact is bit-identical across worker counts, and a Suite may be shared
-// between goroutines.
+// Every generator but Scalability is a method of one Suite: each figure
+// declares its curves and each table its grid, and the Suite fans the
+// points out over a bounded worker pool (Options.Workers; 0 = all cores),
+// solving each distinct model once per Suite. Results are always collected
+// index-addressed, so every artifact is bit-identical across worker counts,
+// and a Suite may be shared between goroutines.
 package experiments
 
 import (

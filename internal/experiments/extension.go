@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bgperf/internal/core"
-	"bgperf/internal/par"
 	"bgperf/internal/workload"
 )
 
@@ -13,11 +12,7 @@ import (
 // bulk scrubbing as class 2). It splits a fixed total background probability
 // across the classes and reports per-class completion under rising
 // foreground load, showing what strict priority buys the urgent class.
-//
-// The (util, split) grid points are independent solves and fan out over at
-// most workers goroutines (0: all cores); rows are collected index-addressed
-// so the table matches a serial run exactly.
-func Extension(workers int) (Result, error) {
+func (s *Suite) Extension() (Result, error) {
 	soft, err := workload.SoftwareDevelopment()
 	if err != nil {
 		return Result{}, err
@@ -41,39 +36,36 @@ func Extension(workers int) (Result, error) {
 		Notes: "class 1 (e.g. WRITE verification) is picked before class 2 (e.g. scrubbing) at every idle-wait expiry",
 	}
 	utilGrid := []float64{0.10, 0.20, 0.30}
-	tbl.Rows = make([][]string, len(utilGrid)*len(splits))
-	err = par.For(workers, len(tbl.Rows), func(i int) error {
-		util, sp := utilGrid[i/len(splits)], splits[i%len(splits)]
+	var pts []point
+	for _, util := range utilGrid {
 		scaled, err := workload.AtUtilization(soft, util)
 		if err != nil {
-			return err
+			return Result{}, err
 		}
-		model, err := core.NewModel(core.Config{
-			Arrival:     scaled,
-			ServiceRate: workload.ServiceRatePerMs,
-			BGProb:      sp.p1,
-			BG2Prob:     sp.p2,
-			BGBuffer:    5,
-			BG2Buffer:   5,
-			IdleRate:    workload.ServiceRatePerMs,
-		})
-		if err != nil {
-			return err
+		for _, sp := range splits {
+			pts = append(pts, point{fmt.Sprintf("extension util %g split %s", util, sp.name), core.Config{
+				Arrival:     scaled,
+				ServiceRate: workload.ServiceRatePerMs,
+				BGProb:      sp.p1,
+				BG2Prob:     sp.p2,
+				BGBuffer:    5,
+				BG2Buffer:   5,
+				IdleRate:    workload.ServiceRatePerMs,
+			}})
 		}
-		sol, err := model.Solve()
-		if err != nil {
-			return fmt.Errorf("experiments: extension util %g split %s: %w", util, sp.name, err)
-		}
-		tbl.Rows[i] = []string{
+	}
+	sols, err := s.solveAll(pts)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, sol := range sols {
+		util, sp := utilGrid[i/len(splits)], splits[i%len(splits)]
+		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%.2f", util), sp.name,
 			fmtG(sol.CompBG), fmtG(sol.BG2.Comp),
 			fmtG(sol.QLenBG), fmtG(sol.BG2.QLen),
 			fmtG(sol.QLenFG), fmtG(sol.WaitPFG),
-		}
-		return nil
-	})
-	if err != nil {
-		return Result{}, err
+		})
 	}
 	return Result{Tables: []Table{tbl}}, nil
 }

@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"bgperf/internal/arrival"
 	"bgperf/internal/core"
-	"bgperf/internal/obs"
-	"bgperf/internal/par"
 	"bgperf/internal/trace"
 	"bgperf/internal/workload"
 )
@@ -30,72 +27,6 @@ var (
 	idleMults = []float64{0.25, 0.5, 1, 2, 4, 8}
 )
 
-// Suite generates the paper's artifacts, caching the expensive load sweeps
-// shared between figures.
-//
-// A Suite is safe for concurrent use: the cached sweeps are computed at most
-// once (sync.Once-guarded, even under concurrent first use) and are
-// read-only afterwards, so any number of goroutines may generate figures
-// from one shared Suite. Grid points of a sweep are themselves fanned out
-// over a bounded worker pool; results are collected index-addressed, so the
-// output is bit-identical to a serial run regardless of worker count.
-type Suite struct {
-	workers  int
-	observer obs.Observer
-
-	once  sync.Once
-	err   error
-	email *sweep
-	soft  *sweep
-}
-
-// NewSuite returns an empty suite; sweeps are computed on first use, their
-// grid points fanned out over at most workers goroutines (workers <= 0: all
-// cores; 1: serial). Every QBD solve of the cached load sweeps reports to
-// the optional observer o (nil: no instrumentation), which must tolerate
-// concurrent calls — sweep grid points solve in parallel.
-func NewSuite(workers int, o obs.Observer) *Suite {
-	return &Suite{workers: workers, observer: o}
-}
-
-// sweep holds solved metrics over a utilization × p grid for one workload.
-type sweep struct {
-	name    string
-	utils   []float64
-	ps      []float64
-	metrics [][]core.Metrics // [pIdx][utilIdx]
-}
-
-// runSweep solves the model across the grid with idle wait equal to the mean
-// service time (the paper's default). Grid points are independent QBD solves,
-// so they fan out over the worker pool; each writes only its own
-// pre-allocated metrics cell, keeping the result identical to a serial run.
-func runSweep(name string, m *arrival.MAP, utils, ps []float64, workers int, o obs.Observer) (*sweep, error) {
-	s := &sweep{name: name, utils: utils, ps: ps}
-	s.metrics = make([][]core.Metrics, len(ps))
-	for pi := range ps {
-		s.metrics[pi] = make([]core.Metrics, len(utils))
-	}
-	err := par.For(workers, len(ps)*len(utils), func(i int) error {
-		pi, ui := i/len(utils), i%len(utils)
-		p, util := ps[pi], utils[ui]
-		scaled, err := workload.AtUtilization(m, util)
-		if err != nil {
-			return fmt.Errorf("experiments: %s sweep: %w", name, err)
-		}
-		met, err := solveMetrics(paperConfig(scaled, p), o)
-		if err != nil {
-			return fmt.Errorf("experiments: %s util %g p %g: %w", name, util, p, err)
-		}
-		s.metrics[pi][ui] = met
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // paperConfig is the paper's model at one point: exponential 6 ms service,
 // buffer 5, and a per-job idle wait with the mean service time as its mean.
 func paperConfig(m *arrival.MAP, p float64) core.Config {
@@ -109,78 +40,51 @@ func paperConfig(m *arrival.MAP, p float64) core.Config {
 	}
 }
 
-// solveMetrics solves cfg, reporting to o when it is non-nil.
-func solveMetrics(cfg core.Config, o obs.Observer) (core.Metrics, error) {
-	model, err := core.NewModel(cfg)
-	if err != nil {
-		return core.Metrics{}, err
-	}
-	sol, err := model.SolveObserved(o)
-	if err != nil {
-		return core.Metrics{}, err
-	}
-	return sol.Metrics, nil
-}
-
-// series extracts one curve (metric vs utilization) from a sweep.
-func (s *sweep) series(pIdx int, label string, metric func(core.Metrics) float64) Series {
-	pts := make([]Point, len(s.utils))
-	for ui, util := range s.utils {
-		pts[ui] = Point{X: util, Y: metric(s.metrics[pIdx][ui])}
-	}
-	return Series{Label: label, Points: pts}
-}
-
-func (s *Suite) loadSweeps() error {
-	s.once.Do(func() {
-		email, err := workload.Email()
+// atLoad is the paper's model of m at background probability p as a
+// function of the foreground utilization.
+func atLoad(m *arrival.MAP, p float64) func(util float64) (core.Config, error) {
+	return func(util float64) (core.Config, error) {
+		scaled, err := workload.AtUtilization(m, util)
 		if err != nil {
-			s.err = err
-			return
+			return core.Config{}, err
 		}
-		soft, err := workload.SoftwareDevelopment()
-		if err != nil {
-			s.err = err
-			return
-		}
-		if s.email, err = runSweep("E-mail", email, emailUtils, pAll, s.workers, s.observer); err != nil {
-			s.err = err
-			return
-		}
-		s.soft, s.err = runSweep("Software Development", soft, softUtils, pAll, s.workers, s.observer)
-	})
-	return s.err
+		return paperConfig(scaled, p), nil
+	}
 }
 
-// loadFigure builds the (a) E-mail / (b) Soft.Dev pair of one load-sweep
-// figure.
+// pLabel labels the curve of background probability p.
+func pLabel(p float64) string { return fmt.Sprintf("p=%.1f", p) }
+
+// loadFigure declares the (a) E-mail / (b) Soft.Dev. pair of one
+// load-sweep figure: one curve per p in ps over the workload's utilization
+// grid, with idle wait equal to the mean service time (the paper's default).
 func (s *Suite) loadFigure(id, title, ylabel string, ps []float64, metric func(core.Metrics) float64) (Result, error) {
-	if err := s.loadSweeps(); err != nil {
+	traces, err := workload.Traces()
+	if err != nil {
 		return Result{}, err
 	}
-	build := func(sub string, sw *sweep) Figure {
-		f := Figure{
-			ID:     id + sub,
-			Title:  fmt.Sprintf("%s — %s", title, sw.name),
+	utils := [][]float64{emailUtils, softUtils}
+	var panels []panel
+	for i, w := range traces[:2] {
+		pn := panel{Figure: Figure{
+			ID:     id + string(rune('a'+i)),
+			Title:  fmt.Sprintf("%s — %s", title, w.Name),
 			XLabel: "fg-util",
 			YLabel: ylabel,
+		}}
+		for _, p := range ps {
+			pn.curves = append(pn.curves, curve{label: pLabel(p), xs: utils[i], model: atLoad(w.MAP, p)})
 		}
-		for pi, p := range sw.ps {
-			if !slices.Contains(ps, p) {
-				continue
-			}
-			f.Series = append(f.Series, sw.series(pi, fmt.Sprintf("p=%.1f", p), metric))
-		}
-		return f
+		panels = append(panels, pn)
 	}
-	return Result{Figures: []Figure{build("a", s.email), build("b", s.soft)}}, nil
+	return s.figures(metric, panels)
 }
 
 // Figure1 reproduces the trace-characterization figure: the sample ACF of
 // inter-arrival times of the three (synthetic) traces plus the mean/CV/
-// utilization table. n is the trace length (the paper uses a few hundred
-// thousand entries).
-func Figure1(n int, seed int64) (Result, error) {
+// utilization table, sampling Options.TraceLength entries per trace (the
+// paper uses a few hundred thousand) from Options.Seed.
+func (s *Suite) Figure1() (Result, error) {
 	traces, err := workload.Traces()
 	if err != nil {
 		return Result{}, err
@@ -199,7 +103,7 @@ func Figure1(n int, seed int64) (Result, error) {
 	}
 	const maxLag = 100
 	for i, w := range traces {
-		tr := trace.GenerateWithService(w.MAP, n, seed+int64(i), workload.ServiceRatePerMs)
+		tr := trace.GenerateWithService(w.MAP, s.opts.TraceLength, s.opts.Seed+int64(i), workload.ServiceRatePerMs)
 		acf := tr.InterarrivalACF(maxLag)
 		pts := make([]Point, maxLag)
 		for k, v := range acf {
@@ -218,7 +122,7 @@ func Figure1(n int, seed int64) (Result, error) {
 
 // Figure2 reproduces the model-characterization figure: the analytic ACF of
 // the three fitted MMPPs and their parameter table (paper Eq. 4 form).
-func Figure2() (Result, error) {
+func (s *Suite) Figure2() (Result, error) {
 	traces, err := workload.Traces()
 	if err != nil {
 		return Result{}, err
@@ -279,92 +183,59 @@ func (s *Suite) Figure8() (Result, error) {
 		func(m core.Metrics) float64 { return m.QLenBG })
 }
 
-// idleSweep solves the two trace workloads at their native utilizations
-// across idle-wait durations (in multiples of the mean service time). The
-// figure and series skeletons are assembled serially; the independent solves
-// behind each point fan out over the worker pool and write their own
-// pre-allocated point.
-func idleSweep(workers int, metric func(core.Metrics) float64, id, title, ylabel string) (Result, error) {
-	email, err := workload.Email()
+// idleFigure declares the (a) E-mail / (b) Soft.Dev. pair of one idle-wait
+// figure: the two trace workloads at their native utilizations, one curve
+// per p over idle-wait durations in multiples of the mean service time.
+func (s *Suite) idleFigure(id, title, ylabel string, metric func(core.Metrics) float64) (Result, error) {
+	traces, err := workload.Traces()
 	if err != nil {
 		return Result{}, err
 	}
-	soft, err := workload.SoftwareDevelopment()
-	if err != nil {
-		return Result{}, err
-	}
-	var res Result
-	var jobs []func() error
-	for _, w := range []workload.Named{
-		{Name: "E-mail", MAP: email},
-		{Name: "Software Development", MAP: soft},
-	} {
-		w := w
-		sub := "a"
-		if w.Name != "E-mail" {
-			sub = "b"
-		}
-		f := Figure{
-			ID:     id + sub,
+	var panels []panel
+	for i, w := range traces[:2] {
+		pn := panel{Figure: Figure{
+			ID:     id + string(rune('a'+i)),
 			Title:  fmt.Sprintf("%s — %s (native trace load)", title, w.Name),
 			XLabel: "idle-wait (× service time)",
 			YLabel: ylabel,
-		}
+		}}
 		for _, p := range pBG {
-			p := p
-			pts := make([]Point, len(idleMults))
-			for i, mult := range idleMults {
-				i, mult := i, mult
-				jobs = append(jobs, func() error {
-					// Idle wait of mult service times ⇒ α = µ/mult.
-					cfg := paperConfig(w.MAP, p)
-					cfg.IdleRate = workload.ServiceRatePerMs / mult
-					met, err := solveMetrics(cfg, nil)
-					if err != nil {
-						return fmt.Errorf("experiments: idle sweep %s p=%g mult=%g: %w", w.Name, p, mult, err)
-					}
-					pts[i] = Point{X: mult, Y: metric(met)}
-					return nil
-				})
-			}
-			f.Series = append(f.Series, Series{Label: fmt.Sprintf("p=%.1f", p), Points: pts})
+			pn.curves = append(pn.curves, curve{label: pLabel(p), xs: idleMults, model: func(mult float64) (core.Config, error) {
+				// Idle wait of mult service times ⇒ α = µ/mult.
+				cfg := paperConfig(w.MAP, p)
+				cfg.IdleRate = workload.ServiceRatePerMs / mult
+				return cfg, nil
+			}})
 		}
-		res.Figures = append(res.Figures, f)
+		panels = append(panels, pn)
 	}
-	if err := par.Jobs(workers, jobs); err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	return s.figures(metric, panels)
 }
 
-// Figure9 reproduces the FG queue length versus idle-wait duration, fanning
-// the grid out over at most workers goroutines (0: all cores).
-func Figure9(workers int) (Result, error) {
-	return idleSweep(workers, func(m core.Metrics) float64 { return m.QLenFG },
-		"fig9", "Foreground queue length vs idle wait", "fg-qlen")
+// Figure9 reproduces the FG queue length versus idle-wait duration.
+func (s *Suite) Figure9() (Result, error) {
+	return s.idleFigure("fig9", "Foreground queue length vs idle wait", "fg-qlen",
+		func(m core.Metrics) float64 { return m.QLenFG })
 }
 
-// Figure10 reproduces the BG completion rate versus idle-wait duration,
-// fanning the grid out over at most workers goroutines (0: all cores).
-func Figure10(workers int) (Result, error) {
-	return idleSweep(workers, func(m core.Metrics) float64 { return m.CompBG },
-		"fig10", "Background completion rate vs idle wait", "bg-completion")
+// Figure10 reproduces the BG completion rate versus idle-wait duration.
+func (s *Suite) Figure10() (Result, error) {
+	return s.idleFigure("fig10", "Background completion rate vs idle wait", "bg-completion",
+		func(m core.Metrics) float64 { return m.CompBG })
 }
 
-// dependenceFigure builds the Sec. 5.4 comparison (paper Fig. 11–13): the
+// dependenceFigure declares the Sec. 5.4 comparison (paper Fig. 11–13): the
 // same metric under High-ACF MMPP, Low-ACF MMPP, IPP, and Poisson arrivals,
 // at p = 0.3 and p = 0.9. Following the paper's split x-axis, correlated and
 // independent processes are reported as separate sub-figures because they
 // saturate at utilizations an order of magnitude apart.
-func dependenceFigure(workers int, id, title, ylabel string, metric func(core.Metrics) float64) (Result, error) {
+func (s *Suite) dependenceFigure(id, title, ylabel string, metric func(core.Metrics) float64) (Result, error) {
 	procs, err := workload.DependenceComparison()
 	if err != nil {
 		return Result{}, err
 	}
-	var res Result
-	var jobs []func() error
+	var panels []panel
 	for _, p := range []float64{0.3, 0.9} {
-		p := p
 		for _, group := range []struct {
 			sub   string
 			names []string
@@ -373,63 +244,39 @@ func dependenceFigure(workers int, id, title, ylabel string, metric func(core.Me
 			{"-corr", []string{"High ACF", "Low ACF"}, emailUtils},
 			{"-indep", []string{"IPP", "Expo"}, indepUtils},
 		} {
-			f := Figure{
+			pn := panel{Figure: Figure{
 				ID:     fmt.Sprintf("%s-p%.0f%s", id, p*10, group.sub),
 				Title:  fmt.Sprintf("%s — E-mail parameterization, p=%.1f (%s arrivals)", title, p, group.sub[1:]),
 				XLabel: "fg-util",
 				YLabel: ylabel,
-			}
+			}}
 			for _, proc := range procs {
-				proc := proc
-				if !slices.Contains(group.names, proc.Name) {
-					continue
+				if slices.Contains(group.names, proc.Name) {
+					pn.curves = append(pn.curves, curve{label: proc.Name, xs: group.utils, model: atLoad(proc.MAP, p)})
 				}
-				pts := make([]Point, len(group.utils))
-				for i, util := range group.utils {
-					i, util := i, util
-					jobs = append(jobs, func() error {
-						scaled, err := workload.AtUtilization(proc.MAP, util)
-						if err != nil {
-							return err
-						}
-						met, err := solveMetrics(paperConfig(scaled, p), nil)
-						if err != nil {
-							return fmt.Errorf("experiments: dependence %s util %g: %w", proc.Name, util, err)
-						}
-						pts[i] = Point{X: util, Y: metric(met)}
-						return nil
-					})
-				}
-				f.Series = append(f.Series, Series{Label: proc.Name, Points: pts})
 			}
-			res.Figures = append(res.Figures, f)
+			panels = append(panels, pn)
 		}
 	}
-	if err := par.Jobs(workers, jobs); err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	return s.figures(metric, panels)
 }
 
-// Figure11 reproduces the FG queue length under the four arrival processes,
-// fanning the grid out over at most workers goroutines (0: all cores).
-func Figure11(workers int) (Result, error) {
-	return dependenceFigure(workers, "fig11", "Average foreground queue length", "fg-qlen",
+// Figure11 reproduces the FG queue length under the four arrival processes.
+func (s *Suite) Figure11() (Result, error) {
+	return s.dependenceFigure("fig11", "Average foreground queue length", "fg-qlen",
 		func(m core.Metrics) float64 { return m.QLenFG })
 }
 
 // Figure12 reproduces the BG completion rate under the four arrival
-// processes, fanning the grid out over at most workers goroutines (0: all
-// cores).
-func Figure12(workers int) (Result, error) {
-	return dependenceFigure(workers, "fig12", "Background completion rate", "bg-completion",
+// processes.
+func (s *Suite) Figure12() (Result, error) {
+	return s.dependenceFigure("fig12", "Background completion rate", "bg-completion",
 		func(m core.Metrics) float64 { return m.CompBG })
 }
 
 // Figure13 reproduces the delayed-FG fraction under the four arrival
-// processes, fanning the grid out over at most workers goroutines (0: all
-// cores).
-func Figure13(workers int) (Result, error) {
-	return dependenceFigure(workers, "fig13", "Portion of foreground jobs delayed by a background job", "fg-delayed-frac",
+// processes.
+func (s *Suite) Figure13() (Result, error) {
+	return s.dependenceFigure("fig13", "Portion of foreground jobs delayed by a background job", "fg-delayed-frac",
 		func(m core.Metrics) float64 { return m.WaitPFG })
 }

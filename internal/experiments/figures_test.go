@@ -44,7 +44,7 @@ func yAt(t *testing.T, s Series, x float64) float64 {
 }
 
 func TestFigure1Shapes(t *testing.T) {
-	r, err := Figure1(3000000, 1)
+	r, err := NewSuite(Options{TraceLength: 3000000, Seed: 1}).Figure1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFigure1Shapes(t *testing.T) {
 }
 
 func TestFigure2Shapes(t *testing.T) {
-	r, err := Figure2()
+	r, err := NewSuite(Options{}).Figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFigure2Shapes(t *testing.T) {
 }
 
 func TestFigure5Shapes(t *testing.T) {
-	s := NewSuite(0, nil)
+	s := NewSuite(Options{})
 	r, err := s.Figure5()
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestFigure5Shapes(t *testing.T) {
 }
 
 func TestFigure6Shapes(t *testing.T) {
-	s := NewSuite(0, nil)
+	s := NewSuite(Options{})
 	r, err := s.Figure6()
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestFigure6Shapes(t *testing.T) {
 }
 
 func TestFigure7Shapes(t *testing.T) {
-	s := NewSuite(0, nil)
+	s := NewSuite(Options{})
 	r, err := s.Figure7()
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestFigure7Shapes(t *testing.T) {
 }
 
 func TestFigure8Shapes(t *testing.T) {
-	s := NewSuite(0, nil)
+	s := NewSuite(Options{})
 	r, err := s.Figure8()
 	if err != nil {
 		t.Fatal(err)
@@ -232,11 +232,12 @@ func TestFigure8Shapes(t *testing.T) {
 }
 
 func TestFigure9And10IdleWaitTradeoff(t *testing.T) {
-	r9, err := Figure9(0)
+	s := NewSuite(Options{})
+	r9, err := s.Figure9()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r10, err := Figure10(0)
+	r10, err := s.Figure10()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestFigure9And10IdleWaitTradeoff(t *testing.T) {
 }
 
 func TestFigure11Crossover(t *testing.T) {
-	r, err := Figure11(0)
+	r, err := NewSuite(Options{}).Figure11()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestFigure11Crossover(t *testing.T) {
 }
 
 func TestFigure12DependenceHurtsCompletion(t *testing.T) {
-	r, err := Figure12(0)
+	r, err := NewSuite(Options{}).Figure12()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestFigure12DependenceHurtsCompletion(t *testing.T) {
 }
 
 func TestFigure13PeakOrdering(t *testing.T) {
-	r, err := Figure13(0)
+	r, err := NewSuite(Options{}).Figure13()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestValidationTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
-	r, err := Validation(ValidationOptions{MeasureTime: 5e6, Seed: 2})
+	r, err := NewSuite(Options{MeasureTime: 5e6, Seed: 2}).Validation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestValidationTable(t *testing.T) {
 }
 
 func TestAblationTables(t *testing.T) {
-	r, err := Ablation()
+	r, err := NewSuite(Options{}).Ablation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +409,7 @@ func TestAblationTables(t *testing.T) {
 }
 
 func TestExtensionTable(t *testing.T) {
-	r, err := Extension(0)
+	r, err := NewSuite(Options{}).Extension()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,7 @@ func TestExtensionTable(t *testing.T) {
 }
 
 func TestBaselineTable(t *testing.T) {
-	r, err := Baseline(0)
+	r, err := NewSuite(Options{}).Baseline()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,12 +22,13 @@ const goldenTol = 1e-9
 const goldenPath = "testdata/figures.golden"
 
 // goldenFigures regenerates the pinned paper figures: the headline FG
-// queue-length and BG completion grids (Fig. 5 and 7) and their
-// arrival-dependence counterparts (Fig. 10 and 12). All four are analytic
-// sweeps — deterministic for every worker count.
+// queue-length and BG completion grids (Fig. 5 and 7), the idle-wait BG
+// completion grid (Fig. 10) and its arrival-dependence counterpart
+// (Fig. 12). All four are analytic sweeps — deterministic for every worker
+// count.
 func goldenFigures(t *testing.T) []Figure {
 	t.Helper()
-	s := NewSuite(0, nil)
+	s := NewSuite(Options{})
 	var figs []Figure
 	for _, gen := range []struct {
 		name string
@@ -35,8 +36,8 @@ func goldenFigures(t *testing.T) []Figure {
 	}{
 		{"Figure5", s.Figure5},
 		{"Figure7", s.Figure7},
-		{"Figure10", func() (Result, error) { return Figure10(0) }},
-		{"Figure12", func() (Result, error) { return Figure12(0) }},
+		{"Figure10", s.Figure10},
+		{"Figure12", s.Figure12},
 	} {
 		res, err := gen.run()
 		if err != nil {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"bgperf/internal/obs"
 )
 
 // renderAll runs a generator and renders every artifact of its result to text.
@@ -34,8 +36,8 @@ func suiteReport(t *testing.T, s *Suite) string {
 // TestSuiteParallelDeterminism pins the tentpole guarantee: a parallel run
 // of the sweep engine produces byte-identical report output to a serial run.
 func TestSuiteParallelDeterminism(t *testing.T) {
-	serial := suiteReport(t, NewSuite(1, nil))
-	parallel := suiteReport(t, NewSuite(8, nil))
+	serial := suiteReport(t, NewSuite(Options{Workers: 1}))
+	parallel := suiteReport(t, NewSuite(Options{Workers: 8}))
 	if serial != parallel {
 		t.Fatalf("parallel suite output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
@@ -44,23 +46,26 @@ func TestSuiteParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestGridGeneratorsParallelDeterminism covers the non-Suite parallel
-// generators: idle sweeps, dependence figures, baseline and extension
-// tables must be byte-identical across worker counts.
+// TestGridGeneratorsParallelDeterminism covers the Suite's other analytic
+// artifacts: idle sweeps, dependence figures, and the ablation, baseline and
+// extension tables must be byte-identical across worker counts.
 func TestGridGeneratorsParallelDeterminism(t *testing.T) {
 	for _, g := range []struct {
 		name string
-		run  func(workers int) (Result, error)
+		run  func(*Suite) (Result, error)
 	}{
-		{"figure9", Figure9},
-		{"figure11", Figure11},
-		{"baseline", Baseline},
-		{"extension", Extension},
+		{"figure9", (*Suite).Figure9},
+		{"figure10", (*Suite).Figure10},
+		{"figure11", (*Suite).Figure11},
+		{"figure12", (*Suite).Figure12},
+		{"figure13", (*Suite).Figure13},
+		{"ablation", (*Suite).Ablation},
+		{"baseline", (*Suite).Baseline},
+		{"extension", (*Suite).Extension},
 	} {
-		g := g
 		t.Run(g.name, func(t *testing.T) {
-			serial := renderAll(t, func() (Result, error) { return g.run(1) })
-			parallel := renderAll(t, func() (Result, error) { return g.run(8) })
+			serial := renderAll(t, func() (Result, error) { return g.run(NewSuite(Options{Workers: 1})) })
+			parallel := renderAll(t, func() (Result, error) { return g.run(NewSuite(Options{Workers: 8})) })
 			if serial != parallel {
 				t.Fatalf("%s: parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 					g.name, serial, parallel)
@@ -75,11 +80,10 @@ func TestValidationParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed; skipped in -short")
 	}
-	opts := ValidationOptions{MeasureTime: 2e6, Seed: 3}
-	opts.Workers = 1
-	serial := renderAll(t, func() (Result, error) { return Validation(opts) })
+	opts := Options{MeasureTime: 2e6, Seed: 3, Workers: 1}
+	serial := renderAll(t, NewSuite(opts).Validation)
 	opts.Workers = 8
-	parallel := renderAll(t, func() (Result, error) { return Validation(opts) })
+	parallel := renderAll(t, NewSuite(opts).Validation)
 	if serial != parallel {
 		t.Fatalf("validation table differs across worker counts:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)
@@ -87,11 +91,13 @@ func TestValidationParallelDeterminism(t *testing.T) {
 }
 
 // TestSuiteConcurrentUse hammers one shared Suite from many goroutines —
-// first use races on the sync.Once-guarded sweep cache — and checks every
-// goroutine sees the same artifacts. Run under -race this is the concurrency
+// first use races on the table's per-model sync.Once entries — and checks
+// every goroutine sees the same artifacts and that the goroutines shared
+// the 95 solves of Fig. 5–8. Run under -race this is the concurrency
 // regression test for the old "not safe for concurrent use" Suite.
 func TestSuiteConcurrentUse(t *testing.T) {
-	s := NewSuite(4, nil)
+	d := obs.NewDiagnostics()
+	s := NewSuite(Options{Workers: 4, Observer: d})
 	const goroutines = 8
 	reports := make([]string, goroutines)
 	errs := make([]error, goroutines)
@@ -126,8 +132,11 @@ func TestSuiteConcurrentUse(t *testing.T) {
 			t.Fatalf("goroutine %d saw different artifacts than goroutine 0", i)
 		}
 	}
+	if got := d.Report().Solves; got != 95 {
+		t.Errorf("%d goroutines made %d solves, want the 95 distinct models once each", goroutines, got)
+	}
 	// And the shared suite still matches an independent serial suite.
-	if want := suiteReport(t, NewSuite(1, nil)); reports[0] != want {
+	if want := suiteReport(t, NewSuite(Options{Workers: 1})); reports[0] != want {
 		t.Fatal("concurrent suite output differs from a serial suite")
 	}
 }

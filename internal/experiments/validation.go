@@ -5,42 +5,19 @@ import (
 
 	"bgperf/internal/arrival"
 	"bgperf/internal/core"
-	"bgperf/internal/obs"
 	"bgperf/internal/par"
 	"bgperf/internal/phtype"
 	"bgperf/internal/sim"
 	"bgperf/internal/workload"
 )
 
-// ValidationOptions sizes the analytic-versus-simulation cross-check.
-type ValidationOptions struct {
-	// MeasureTime is the simulated measurement window in ms (default 2e8 —
-	// long enough for the slow-mixing trace MMPPs to average out).
-	MeasureTime float64
-	// Seed makes the runs reproducible.
-	Seed int64
-	// Workers bounds the fan-out over the validation cases (0: all cores).
-	// Each case carries its own derived seed, so the table is identical for
-	// every worker count.
-	Workers int
-	// Observer, when non-nil, receives solver stage timings and simulator
-	// event counters from every case (must tolerate concurrent calls).
-	Observer obs.Observer
-}
-
-func (o ValidationOptions) withDefaults() ValidationOptions {
-	if o.MeasureTime == 0 {
-		o.MeasureTime = 2e8
-	}
-	return o
-}
-
 // Validation cross-checks the analytic chain against the independent event
 // simulator on a grid of workloads, loads, and background probabilities —
 // our addition (table V-1 in DESIGN.md), standing in for the paper's
-// unreported internal validation.
-func Validation(opts ValidationOptions) (Result, error) {
-	opts = opts.withDefaults()
+// unreported internal validation. Each case simulates Options.MeasureTime
+// ms with its own seed derived from Options.Seed, so the table is identical
+// for every worker count.
+func (s *Suite) Validation() (Result, error) {
 	email, err := workload.Email()
 	if err != nil {
 		return Result{}, err
@@ -75,32 +52,34 @@ func Validation(opts ValidationOptions) (Result, error) {
 			"compBG(ana)", "compBG(sim)",
 			"waitPFG(ana)", "waitPFG(sim)",
 		},
-		Notes: "idle wait = mean service time, buffer 5; simulation window " + fmtG(opts.MeasureTime) + " ms",
+		Notes: "idle wait = mean service time, buffer 5; simulation window " + fmtG(s.opts.MeasureTime) + " ms",
 	}
-	// Each case is one analytic solve plus one long simulation with its own
-	// derived seed, so cases fan out over the worker pool independently.
-	tbl.Rows = make([][]string, len(cases))
-	err = par.For(opts.Workers, len(cases), func(i int) error {
-		c := cases[i]
+	pts := make([]point, len(cases))
+	for i, c := range cases {
 		scaled, err := workload.AtUtilization(c.m, c.util)
 		if err != nil {
-			return err
+			return Result{}, err
 		}
-		cfg := paperConfig(scaled, c.p)
-		ana, err := solveMetrics(cfg, opts.Observer)
-		if err != nil {
-			return fmt.Errorf("experiments: validation %s: %w", c.name, err)
-		}
-		simCfg := sim.FromModel(cfg, opts.Seed+int64(i), opts.MeasureTime/20, opts.MeasureTime)
-		res, err := sim.RunOpts(nil, simCfg, opts.Observer)
+		pts[i] = point{"validation " + c.name, paperConfig(scaled, c.p)}
+	}
+	ana, err := s.solveAll(pts)
+	if err != nil {
+		return Result{}, err
+	}
+	// Each case's simulation carries its own derived seed, so the cases fan
+	// out over the worker pool independently.
+	tbl.Rows = make([][]string, len(cases))
+	err = par.For(s.opts.Workers, len(cases), func(i int) error {
+		c, mt := cases[i], s.opts.MeasureTime
+		res, err := sim.RunOpts(nil, sim.FromModel(pts[i].cfg, s.opts.Seed+int64(i), mt/20, mt), s.opts.Observer)
 		if err != nil {
 			return fmt.Errorf("experiments: validation sim %s: %w", c.name, err)
 		}
 		tbl.Rows[i] = []string{
 			c.name, fmt.Sprintf("%.2f", c.util), fmt.Sprintf("%.1f", c.p),
-			fmtG(ana.QLenFG), fmtG(res.Metrics.QLenFG), fmtG(res.QLenFGHalf),
-			fmtG(ana.CompBG), fmtG(res.Metrics.CompBG),
-			fmtG(ana.WaitPFG), fmtG(res.Metrics.WaitPFG),
+			fmtG(ana[i].QLenFG), fmtG(res.Metrics.QLenFG), fmtG(res.QLenFGHalf),
+			fmtG(ana[i].CompBG), fmtG(res.Metrics.CompBG),
+			fmtG(ana[i].WaitPFG), fmtG(res.Metrics.WaitPFG),
 		}
 		return nil
 	})
@@ -113,7 +92,7 @@ func Validation(opts ValidationOptions) (Result, error) {
 // Ablation quantifies the two modelling choices the paper leaves open
 // (table A-1 in DESIGN.md): the idle-wait re-arming policy and the BG buffer
 // size (the paper states buffers up to 25 behave qualitatively like 5).
-func Ablation() (Result, error) {
+func (s *Suite) Ablation() (Result, error) {
 	email, err := workload.Email()
 	if err != nil {
 		return Result{}, err
@@ -128,22 +107,25 @@ func Ablation() (Result, error) {
 		Title:  "Idle-wait policy: re-arm per BG job vs once per idle period (E-mail, native load)",
 		Header: []string{"p", "qlenFG(job)", "qlenFG(period)", "compBG(job)", "compBG(period)", "waitPFG(job)", "waitPFG(period)"},
 	}
+	var pts []point
 	for _, p := range pBG {
-		perJob, err := solveMetrics(paperConfig(email, p), nil)
-		if err != nil {
-			return Result{}, err
-		}
-		periodCfg := paperConfig(email, p)
-		periodCfg.IdlePolicy = core.IdleWaitPerPeriod
-		perPeriod, err := solveMetrics(periodCfg, nil)
-		if err != nil {
-			return Result{}, err
-		}
+		perPeriod := paperConfig(email, p)
+		perPeriod.IdlePolicy = core.IdleWaitPerPeriod
+		pts = append(pts,
+			point{fmt.Sprintf("ablation per-job p %g", p), paperConfig(email, p)},
+			point{fmt.Sprintf("ablation per-period p %g", p), perPeriod})
+	}
+	sols, err := s.solveAll(pts)
+	if err != nil {
+		return Result{}, err
+	}
+	for i, p := range pBG {
+		job, period := sols[2*i], sols[2*i+1]
 		policy.Rows = append(policy.Rows, []string{
 			fmt.Sprintf("%.1f", p),
-			fmtG(perJob.QLenFG), fmtG(perPeriod.QLenFG),
-			fmtG(perJob.CompBG), fmtG(perPeriod.CompBG),
-			fmtG(perJob.WaitPFG), fmtG(perPeriod.WaitPFG),
+			fmtG(job.QLenFG), fmtG(period.QLenFG),
+			fmtG(job.CompBG), fmtG(period.CompBG),
+			fmtG(job.WaitPFG), fmtG(period.WaitPFG),
 		})
 	}
 
@@ -153,31 +135,33 @@ func Ablation() (Result, error) {
 		Header: []string{"util", "compBG(X=5)", "compBG(X=25)", "qlenBG(X=5)", "qlenBG(X=25)", "qlenFG(X=5)", "qlenFG(X=25)"},
 		Notes:  "the paper reports qualitatively identical results for buffers 5–25",
 	}
-	for _, util := range []float64{0.1, 0.3, 0.5, 0.7} {
+	utils := []float64{0.1, 0.3, 0.5, 0.7}
+	pts = nil
+	for _, util := range utils {
 		scaled, err := workload.AtUtilization(soft, util)
 		if err != nil {
 			return Result{}, err
 		}
-		row := []string{fmt.Sprintf("%.1f", util)}
-		var cells [3][2]string
-		for bi, buf := range []int{5, 25} {
+		for _, buf := range []int{5, 25} {
 			cfg := paperConfig(scaled, 0.6)
 			cfg.BGBuffer = buf
-			sol, err := solveMetrics(cfg, nil)
-			if err != nil {
-				return Result{}, fmt.Errorf("experiments: ablation buffer %d util %g: %w", buf, util, err)
-			}
-			cells[0][bi] = fmtG(sol.CompBG)
-			cells[1][bi] = fmtG(sol.QLenBG)
-			cells[2][bi] = fmtG(sol.QLenFG)
+			pts = append(pts, point{fmt.Sprintf("ablation buffer %d util %g", buf, util), cfg})
 		}
-		for _, pair := range cells {
-			row = append(row, pair[0], pair[1])
-		}
-		buffer.Rows = append(buffer.Rows, row)
+	}
+	if sols, err = s.solveAll(pts); err != nil {
+		return Result{}, err
+	}
+	for i, util := range utils {
+		x5, x25 := sols[2*i], sols[2*i+1]
+		buffer.Rows = append(buffer.Rows, []string{
+			fmt.Sprintf("%.1f", util),
+			fmtG(x5.CompBG), fmtG(x25.CompBG),
+			fmtG(x5.QLenBG), fmtG(x25.QLenBG),
+			fmtG(x5.QLenFG), fmtG(x25.QLenFG),
+		})
 	}
 
-	service, err := serviceAblation(soft)
+	service, err := s.serviceAblation(soft)
 	if err != nil {
 		return Result{}, err
 	}
@@ -189,7 +173,7 @@ func Ablation() (Result, error) {
 // (CV = 1) is pessimistic. The PH-service extension (footnote 3) compares
 // Erlang-4 (CV = 0.5, near the measured process), exponential, and a bursty
 // H2 (CV = 2) at the same 6 ms mean.
-func serviceAblation(soft *arrival.MAP) (Table, error) {
+func (s *Suite) serviceAblation(soft *arrival.MAP) (Table, error) {
 	tbl := Table{
 		ID:     "ablation-service",
 		Title:  "Service-time distribution at a 6 ms mean (Soft.Dev. at 20% load, p = 0.6)",
@@ -200,26 +184,32 @@ func serviceAblation(soft *arrival.MAP) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	for _, variant := range []struct {
+	variants := []struct {
 		name string
 		scv  float64
 	}{
 		{"Erlang-4", 0.25},
 		{"exponential", 1},
 		{"H2", 4},
-	} {
-		svc, err := phtype.FitTwoMoment(workload.MeanServiceTimeMs, variant.scv)
+	}
+	var pts []point
+	for _, v := range variants {
+		svc, err := phtype.FitTwoMoment(workload.MeanServiceTimeMs, v.scv)
 		if err != nil {
 			return Table{}, err
 		}
 		cfg := paperConfig(scaled, 0.6)
 		cfg.ServiceRate, cfg.Service = 0, svc
-		sol, err := solveMetrics(cfg, nil)
-		if err != nil {
-			return Table{}, fmt.Errorf("experiments: service ablation %s: %w", variant.name, err)
-		}
+		pts = append(pts, point{"service ablation " + v.name, cfg})
+	}
+	sols, err := s.solveAll(pts)
+	if err != nil {
+		return Table{}, err
+	}
+	for i, v := range variants {
+		sol := sols[i]
 		tbl.Rows = append(tbl.Rows, []string{
-			variant.name, fmtG(variant.scv),
+			v.name, fmtG(v.scv),
 			fmtG(sol.QLenFG), fmtG(sol.RespTimeFG),
 			fmtG(sol.CompBG), fmtG(sol.WaitPFG),
 		})
